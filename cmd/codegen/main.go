@@ -1,14 +1,13 @@
 // Command codegen runs the §5.2 pipeline end to end and emits generated
-// Go code — the DaCe loop's code-generation stage. It has two modes:
+// Go code — the DaCe loop's code-generation stage:
 //
-//	codegen                          # print map-backed demo code, all kernels
-//	codegen -kernel z_ekinh          # one demo kernel
-//	codegen -backend blocked         # print the production (slice-backed) form
+//	codegen                          # print the production package
+//	codegen -kernel ke_vn            # one kernel
 //	codegen -out kernels_gen.go -pkg gen
 //	                                 # write the compiled-in production package
 //
-// The -out mode is what internal/gen's go:generate directive invokes: it
-// emits every kernel in sdfg.ProductionKernels() as an NPROMA-blocked,
+// The -out mode is what internal/gen's go:generate directive invokes. Every
+// kernel in sdfg.ProductionKernels() is emitted as an NPROMA-blocked,
 // slice-backed binder, verified by the static verifier (V001–V006)
 // against a real grid before a single line is written. Emission depends
 // only on array kinds and ranks — never on the verification grid's size —
@@ -37,8 +36,7 @@ func run(args []string, out io.Writer) error {
 	fs.SetOutput(out)
 	which := fs.String("kernel", "", "generate only this kernel (default: all)")
 	werror := fs.Bool("Werror", true, "treat static-verifier diagnostics as fatal")
-	backend := fs.String("backend", "map", "emitter: 'map' (interpreter-parity demo) or 'blocked' (production)")
-	outFile := fs.String("out", "", "write the production package to this file (implies -backend blocked)")
+	outFile := fs.String("out", "", "write the production package to this file (default: stdout)")
 	pkg := fs.String("pkg", "gen", "package name for -out")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -49,25 +47,16 @@ func run(args []string, out io.Writer) error {
 	g := grid.New(grid.R2B(1))
 	const nlev = 4
 
-	if *outFile != "" || *backend == "blocked" {
-		return runBlocked(g, nlev, *which, *werror, *outFile, *pkg, out)
-	}
-	return runMapDemo(g, nlev, *which, *werror, out)
-}
-
-// runBlocked emits the production kernel set with the blocked backend,
-// verifier-gated, either to stdout or as a complete package file.
-func runBlocked(g *grid.Grid, nlev int, which string, werror bool, outFile, pkg string, out io.Writer) error {
 	var kernels []*sdfg.BlockedKernel
 	for _, pk := range sdfg.ProductionKernels() {
-		if which != "" && which != pk.Name {
+		if *which != "" && *which != pk.Name {
 			continue
 		}
 		sd, b, err := sdfg.BindProduction(pk.Name, g, nlev)
 		if err != nil {
 			return err
 		}
-		if err := verifyGate(sd, b, pk.Name, werror, out); err != nil {
+		if err := verifyGate(sd, b, pk.Name, *werror, out); err != nil {
 			return err
 		}
 		bk, err := sdfg.CodegenGoBlocked(sd, b)
@@ -77,70 +66,17 @@ func runBlocked(g *grid.Grid, nlev int, which string, werror bool, outFile, pkg 
 		kernels = append(kernels, bk)
 	}
 	if len(kernels) == 0 {
-		return fmt.Errorf("codegen: no kernel matched %q", which)
+		return fmt.Errorf("codegen: no kernel matched %q", *which)
 	}
-	src, err := sdfg.CodegenPackage(pkg, kernels)
+	src, err := sdfg.CodegenPackage(*pkg, kernels)
 	if err != nil {
 		return err
 	}
-	if outFile == "" {
+	if *outFile == "" {
 		_, err := out.Write(src)
 		return err
 	}
-	return os.WriteFile(outFile, src, 0o644)
-}
-
-// runMapDemo prints the original map-backed emitter output for the demo
-// kernel library — the inspectable interpreter-parity artifact.
-func runMapDemo(g *grid.Grid, nlev int, which string, werror bool, out io.Writer) error {
-	edgeField := make([]float64, g.NEdges*nlev)
-	cellField := make([]float64, g.NCells*nlev)
-
-	type binder func() (*sdfg.SDFG, *sdfg.Bindings, error)
-	kernels := []struct {
-		name string
-		bind binder
-	}{
-		{"z_ekinh", func() (*sdfg.SDFG, *sdfg.Bindings, error) {
-			sd, b, _, err := sdfg.BindEkinh(g, nlev, edgeField)
-			return sd, b, err
-		}},
-		{"divergence", func() (*sdfg.SDFG, *sdfg.Bindings, error) {
-			sd, b, _, err := sdfg.BindDivergence(g, nlev, edgeField)
-			return sd, b, err
-		}},
-		{"gradient", func() (*sdfg.SDFG, *sdfg.Bindings, error) {
-			sd, b, _, err := sdfg.BindGradient(g, nlev, cellField)
-			return sd, b, err
-		}},
-	}
-
-	matched := false
-	for _, k := range kernels {
-		if which != "" && which != k.name {
-			continue
-		}
-		matched = true
-		sd, b, err := k.bind()
-		if err != nil {
-			return err
-		}
-		if err := verifyGate(sd, b, k.name, werror, out); err != nil {
-			return err
-		}
-		src, err := sdfg.CodegenGo(sd, b)
-		if err != nil {
-			return err
-		}
-		distinct, occ := sd.IndexLookups(b.IsTable)
-		fmt.Fprintf(out, "// ===== %s: %d statements, %d fused groups, %d occurrences → %d hoisted lookups =====\n",
-			k.name, len(sd.K.Stmts), len(sd.FusableGroups()), occ, len(distinct))
-		fmt.Fprintln(out, src)
-	}
-	if !matched {
-		return fmt.Errorf("codegen: no kernel matched %q", which)
-	}
-	return nil
+	return os.WriteFile(*outFile, src, 0o644)
 }
 
 // verifyGate runs the static verifier; emitted code is only as

@@ -71,7 +71,6 @@ func run(args []string, out io.Writer) error {
 		ocLev   = fs.Int("oclev", 8, "ocean levels")
 		atmDt   = fs.Float64("atmdt", 120, "atmosphere timestep (s)")
 		workers = fs.Int("workers", 0, "kernel worker-pool width (0 = GOMAXPROCS); results are bit-identical at every width")
-		kernels = fs.String("kernels", "gen", "hot-path kernel implementation: gen (SDFG-generated, default) or hand (hand-written twins); results are bit-identical either way")
 		overlap = fs.Bool("overlap", true, "overlap the ocean+BGC window with the atmosphere window (results are bit-identical either way)")
 		sums    = fs.String("sums", "", "write exact (hex-float) conservation totals to this file for byte-for-byte determinism diffs")
 		bgcConc = fs.Bool("bgc-concurrent", false, "run biogeochemistry concurrently on its own GPU device")
@@ -102,24 +101,20 @@ func run(args []string, out io.Writer) error {
 	if *transport != "inproc" && *transport != "socket" {
 		return fmt.Errorf("esmrun: -transport %q: want inproc or socket", *transport)
 	}
-	if *kernels != "gen" && *kernels != "hand" {
-		return fmt.Errorf("esmrun: -kernels %q: want gen or hand", *kernels)
+	opts := icoearth.Options{
+		GridLevel:         *gridLev,
+		AtmosphereLevels:  *atmLev,
+		OceanLevels:       *ocLev,
+		AtmosphereDt:      *atmDt,
+		BGCConcurrent:     *bgcConc,
+		DisableLandGraphs: *noGraph,
+		Workers:           *workers,
+		NoOverlap:         !*overlap,
 	}
 	if *ranks > 1 || *transport == "socket" {
 		if *chaos != "" || *ckptDir != "" || *resume != "" || *crashAt != "" ||
 			*traceOut != "" || *ckpt != "" || *report != "" || *chaosReport != "" {
 			return fmt.Errorf("esmrun: multi-rank runs drive the plain stepping loop only; drop -chaos/-ckpt-dir/-resume/-crash-at/-trace/-checkpoint/-report/-chaos-report")
-		}
-		opts := icoearth.Options{
-			GridLevel:         *gridLev,
-			AtmosphereLevels:  *atmLev,
-			OceanLevels:       *ocLev,
-			AtmosphereDt:      *atmDt,
-			BGCConcurrent:     *bgcConc,
-			DisableLandGraphs: *noGraph,
-			Workers:           *workers,
-			Kernels:           *kernels,
-			NoOverlap:         !*overlap,
 		}
 		return runRanks(opts, *ranks, *transport, *hours, *gridLev, *atmLev, *sums, out)
 	}
@@ -133,17 +128,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("esmrun: -crash-at needs a durable run (-ckpt-dir or -resume)")
 	}
 
-	sim, err := icoearth.NewSimulation(icoearth.Options{
-		GridLevel:         *gridLev,
-		AtmosphereLevels:  *atmLev,
-		OceanLevels:       *ocLev,
-		AtmosphereDt:      *atmDt,
-		BGCConcurrent:     *bgcConc,
-		DisableLandGraphs: *noGraph,
-		Workers:           *workers,
-		Kernels:           *kernels,
-		NoOverlap:         !*overlap,
-	})
+	sim, err := icoearth.NewSimulation(opts)
 	if err != nil {
 		return err
 	}

@@ -60,12 +60,6 @@ type Options struct {
 	// Workers sets the parallel width of the shared kernel worker pool
 	// (0 = GOMAXPROCS). Results are bit-identical at every width.
 	Workers int
-	// Kernels selects the hot-path kernel implementation: "" or "gen"
-	// dispatches the SDFG-generated kernels (internal/gen, the default),
-	// "hand" the hand-written twins retained for A/B comparison. Both
-	// produce bit-identical results; the seam exists so the determinism
-	// matrix can prove it end to end.
-	Kernels string
 	// NoOverlap serialises the ocean+BGC window after the atmosphere
 	// window instead of overlapping them (the paper's functional
 	// parallelism, on by default). Results are bit-identical either way;
@@ -131,7 +125,6 @@ func NewSimulation(opts Options) (*Simulation, error) {
 		LandGraphs:    !opts.DisableLandGraphs,
 		GrayRadiation: opts.GrayRadiation,
 		Workers:       opts.Workers,
-		Kernels:       opts.Kernels,
 		NoOverlap:     opts.NoOverlap,
 	}
 	es := coupler.NewOnSuperchip(cfg, machine.GH200(opts.TDP), opts.CPUPowerDraw)

@@ -37,21 +37,14 @@ type Dycore struct {
 	// Crank-Nicolson, 1 = backward Euler).
 	ImplicitWeight float64
 
-	// Perot reconstruction coefficients: for each cell, per edge, the 3-D
-	// vector weight such that u⃗(c) = Σᵢ perot[c][i]·vn(eᵢ).
-	perot [][3]sphere.Vec3
-	// The same coefficients as flat per-component columns — the binding
-	// surface of the generated Perot kernel.
+	// Perot reconstruction coefficients as flat per-component columns —
+	// the binding surface of the generated perot_uc kernel:
+	// u⃗(c) = Σᵢ (pxᵢ,pyᵢ,pzᵢ)[c]·vn(eᵢ).
 	px1, px2, px3 []float64
 	py1, py2, py3 []float64
 	pz1, pz2, pz3 []float64
 	// f at edges (Coriolis parameter).
 	fEdge []float64
-
-	// kernels selects the hot-path implementation: "" or "gen" binds the
-	// SDFG-generated kernels from internal/gen (the default), "hand" the
-	// hand-written twins where one is retained in-tree. See SetKernels.
-	kernels string
 
 	// Mass fluxes of the last step, consumed by tracer transport:
 	// MassFluxEdge[e*nlev+k] is the time-centred ρ·vn used in continuity;
@@ -127,22 +120,19 @@ func NewDycore(s *State) *Dycore {
 // (Perot 2000): u⃗(c) = 1/A_c Σ_e o_ce·l_e·vn(e)·R(x̂_e − x̂_c).
 func (d *Dycore) buildPerot() {
 	g := d.S.G
-	d.perot = make([][3]sphere.Vec3, g.NCells)
-	for c := range g.CellEdges {
-		for i, e := range g.CellEdges[c] {
-			w := g.EdgeLength[e] * float64(g.EdgeOrient[c][i]) * sphere.EarthRadius / g.CellArea[c]
-			d.perot[c][i] = g.EdgeCenter[e].Sub(g.CellCenter[c]).Scale(w)
-		}
-	}
-	// Flat per-component columns for the generated kernel bindings.
 	n := g.NCells
 	d.px1, d.px2, d.px3 = make([]float64, n), make([]float64, n), make([]float64, n)
 	d.py1, d.py2, d.py3 = make([]float64, n), make([]float64, n), make([]float64, n)
 	d.pz1, d.pz2, d.pz3 = make([]float64, n), make([]float64, n), make([]float64, n)
-	for c := range d.perot {
-		d.px1[c], d.py1[c], d.pz1[c] = d.perot[c][0].X, d.perot[c][0].Y, d.perot[c][0].Z
-		d.px2[c], d.py2[c], d.pz2[c] = d.perot[c][1].X, d.perot[c][1].Y, d.perot[c][1].Z
-		d.px3[c], d.py3[c], d.pz3[c] = d.perot[c][2].X, d.perot[c][2].Y, d.perot[c][2].Z
+	px := [3][]float64{d.px1, d.px2, d.px3}
+	py := [3][]float64{d.py1, d.py2, d.py3}
+	pz := [3][]float64{d.pz1, d.pz2, d.pz3}
+	for c := range g.CellEdges {
+		for i, e := range g.CellEdges[c] {
+			w := g.EdgeLength[e] * float64(g.EdgeOrient[c][i]) * sphere.EarthRadius / g.CellArea[c]
+			p := g.EdgeCenter[e].Sub(g.CellCenter[c]).Scale(w)
+			px[i][c], py[i][c], pz[i][c] = p.X, p.Y, p.Z
+		}
 	}
 }
 
@@ -480,108 +470,18 @@ func (d *Dycore) bindKernels() {
 }
 
 // bindHotKernels binds the z_ekinh (parKE) and Perot reconstruction
-// (parUC/parVT) bodies: by default the SDFG-generated binders from
-// internal/gen — slice-backed NPROMA blocks with the edge/cell index
-// lookups hoisted out of the level loop — under SetKernels("hand") the
-// hand-written twins retained for the A/B seam. Storage is bound once;
-// checkpoint restore copies into the same slices, so rebinding is never
-// needed mid-run.
+// (parUC/parVT) bodies to the SDFG-generated binders from internal/gen —
+// slice-backed NPROMA blocks with the edge/cell index lookups hoisted
+// out of the level loop. Storage is bound once; checkpoint restore
+// copies into the same slices, so rebinding is never needed mid-run.
 func (d *Dycore) bindHotKernels() {
-	g := d.S.G
 	nlev := d.S.NLev
-	if d.kernels == "hand" {
-		d.bindHandKernels()
-		return
-	}
-	t := &g.Gen
+	t := &d.S.G.Gen
 	d.parKE = gen.BindKeVn(nlev, t.Ke1, t.Ke2, t.Ke3, d.ke, d.S.Vn, t.Iel1, t.Iel2, t.Iel3)
 	d.parUC = gen.BindPerotUc(nlev,
 		d.px1, d.px2, d.px3, d.py1, d.py2, d.py3, d.pz1, d.pz2, d.pz3,
 		d.ucx, d.ucy, d.ucz, d.S.Vn, t.Iel1, t.Iel2, t.Iel3)
 	d.parVT = gen.BindPerotVt(nlev, t.Tx, t.Ty, t.Tz, d.ucx, d.ucy, d.ucz, d.vt, t.Icell1, t.Icell2)
-}
-
-// bindHandKernels binds the hand-written twins of the generated hot
-// kernels (same storage, same association order — bit-identical).
-func (d *Dycore) bindHandKernels() {
-	d.parKE = func(lo, hi int) {
-		g := d.S.G
-		nlev := d.S.NLev
-		vn := d.S.Vn
-		for c := lo; c < hi; c++ {
-			e0, e1, e2 := g.CellEdges[c][0], g.CellEdges[c][1], g.CellEdges[c][2]
-			w0, w1, w2 := g.KineticCoeff[c][0], g.KineticCoeff[c][1], g.KineticCoeff[c][2]
-			for k := 0; k < nlev; k++ {
-				v0 := vn[e0*nlev+k]
-				v1 := vn[e1*nlev+k]
-				v2 := vn[e2*nlev+k]
-				d.ke[c*nlev+k] = w0*v0*v0 + w1*v1*v1 + w2*v2*v2
-			}
-		}
-	}
-
-	d.parUC = func(lo, hi int) {
-		g := d.S.G
-		nlev := d.S.NLev
-		vn := d.S.Vn
-		for c := lo; c < hi; c++ {
-			for k := 0; k < nlev; k++ {
-				var ux, uy, uz float64
-				for i, e := range g.CellEdges[c] {
-					v := vn[e*nlev+k]
-					p := d.perot[c][i]
-					ux += v * p.X
-					uy += v * p.Y
-					uz += v * p.Z
-				}
-				i := c*nlev + k
-				d.ucx[i], d.ucy[i], d.ucz[i] = ux, uy, uz
-			}
-		}
-	}
-
-	d.parVT = func(lo, hi int) {
-		g := d.S.G
-		nlev := d.S.NLev
-		for e := lo; e < hi; e++ {
-			c0, c1 := g.EdgeCells[e][0], g.EdgeCells[e][1]
-			t := g.EdgeTangent[e]
-			for k := 0; k < nlev; k++ {
-				i0, i1 := c0*nlev+k, c1*nlev+k
-				mx := 0.5 * (d.ucx[i0] + d.ucx[i1])
-				my := 0.5 * (d.ucy[i0] + d.ucy[i1])
-				mz := 0.5 * (d.ucz[i0] + d.ucz[i1])
-				d.vt[e*nlev+k] = mx*t.X + my*t.Y + mz*t.Z
-			}
-		}
-	}
-}
-
-// SetKernels selects the hot-path implementation — "gen" (or "") for the
-// SDFG-generated kernels, "hand" for the retained hand twins — and
-// rebinds. The esmrun -kernels flag reaches this through the coupler.
-func (d *Dycore) SetKernels(mode string) {
-	d.kernels = mode
-	d.bindHotKernels()
-}
-
-// HotKernel is one pool-dispatched hot-path body with the horizontal
-// extent to run it over, exposed so benchmarks can time the currently
-// bound implementation (gen or hand) without re-deriving the bindings.
-type HotKernel struct {
-	Name string
-	N    int
-	Body func(lo, hi int)
-}
-
-// HotKernels returns the dycore bodies behind the kernel seam as
-// currently bound; call again after SetKernels to get the other side.
-func (d *Dycore) HotKernels() []HotKernel {
-	return []HotKernel{
-		{Name: "ke_vn", N: d.S.G.NCells, Body: d.parKE},
-		{Name: "perot_uc", N: d.S.G.NCells, Body: d.parUC},
-		{Name: "perot_vt", N: d.S.G.NEdges, Body: d.parVT},
-	}
 }
 
 // solveTridiag solves in place the tridiagonal system with sub-diagonal a,

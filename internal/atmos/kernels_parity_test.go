@@ -2,56 +2,95 @@ package atmos
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"icoearth/internal/sched"
+	"icoearth/internal/sdfg"
+	"icoearth/internal/sphere"
 )
 
-// runBaroclinicKernels is runBaroclinic with the hot-kernel seam
-// selected: the full dycore step plus tracer transport under either the
-// SDFG-generated kernels (the default) or the retained hand twins.
-func runBaroclinicKernels(width, steps int, kernels string) *State {
-	sched.SetWorkers(width)
+// TestDycoreHandGenBitIdentical (the name is kept for test-ID continuity;
+// the reference is now the interpreter): the dycore's hot kernels, run
+// through the Dycore's own gen.Bind* calls on live storage at workers
+// {1,4}, must reproduce bit for bit (%x) what sdfg.Interpret computes from
+// the DSL source over the same inputs. internal/gen's parity test proves
+// generated == interpreter per kernel; this one proves the binding — a
+// swapped Bind* argument or a wrong px1…pz3 split fails here.
+func TestDycoreHandGenBitIdentical(t *testing.T) {
 	defer sched.SetWorkers(0)
 	g, vert := testGrid()
 	s := NewState(g, vert)
 	s.InitBaroclinic(288, 30)
-	s.InitTracers()
 	dy := NewDycore(s)
-	dy.SetKernels(kernels)
-	rhoOld := make([]float64, len(s.Rho))
-	for n := 0; n < steps; n++ {
-		copy(rhoOld, s.Rho)
-		dy.Step(150)
-		dy.Transport(150, rhoOld)
-	}
-	return s
-}
+	dy.Step(150)
+	dy.Step(150)
+	nlev := s.NLev
 
-// TestDycoreHandGenBitIdentical: the generated kernels must reproduce
-// the hand twins bit for bit (%x compare of every prognostic field)
-// through full dycore steps, across the workers {1,4} matrix. Together
-// with TestGeneratedThreeWayBitIdentical (internal/gen) this closes the
-// interpreter == hand == generated chain the codegen PR promises.
-func TestDycoreHandGenBitIdentical(t *testing.T) {
-	fingerprint := func(s *State) string {
-		return fmt.Sprintf("%x %x %x %x %x %x %x",
-			s.Vn, s.W, s.Rho, s.RhoTheta, s.Exner,
-			s.Tracers[TracerCO2], s.Tracers[TracerO3])
+	// interpret runs one production kernel over the given inputs and
+	// returns the bindings holding its outputs.
+	interpret := func(name string, inputs map[string][]float64) *sdfg.Bindings {
+		t.Helper()
+		sd, b, err := sdfg.BindProduction(name, g, nlev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f, data := range inputs {
+			if copy(b.Fields[f], data) != len(b.Fields[f]) {
+				t.Fatalf("%s: input %s has the wrong length", name, f)
+			}
+		}
+		if err := sdfg.Interpret(sd, b); err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	want := fingerprint(runBaroclinicKernels(1, 8, "gen"))
-	for _, tc := range []struct {
-		workers int
-		kernels string
+
+	// The Perot weights, derived here from the geometry rather than read
+	// back from dy.px1…pz3: u⃗(c) = 1/A_c Σ_e o_ce·l_e·vn(e)·R(x̂_e − x̂_c).
+	perot := map[string][]float64{"vn": s.Vn}
+	for i := 0; i < 3; i++ {
+		px, py, pz := make([]float64, g.NCells), make([]float64, g.NCells), make([]float64, g.NCells)
+		for c := range px {
+			e := g.CellEdges[c][i]
+			w := g.EdgeLength[e] * float64(g.EdgeOrient[c][i]) * sphere.EarthRadius / g.CellArea[c]
+			p := g.EdgeCenter[e].Sub(g.CellCenter[c]).Scale(w)
+			px[c], py[c], pz[c] = p.X, p.Y, p.Z
+		}
+		perot[fmt.Sprintf("px%d", i+1)] = px
+		perot[fmt.Sprintf("py%d", i+1)] = py
+		perot[fmt.Sprintf("pz%d", i+1)] = pz
+	}
+
+	ke := interpret("ke_vn", map[string][]float64{"vn": s.Vn})
+	uc := interpret("perot_uc", perot)
+	vt := interpret("perot_vt", map[string][]float64{
+		"ucx": uc.Fields["ucx"], "ucy": uc.Fields["ucy"], "ucz": uc.Fields["ucz"]})
+
+	outputs := []struct {
+		name string
+		live []float64
+		want []float64
 	}{
-		{1, "hand"},
-		{4, "gen"},
-		{4, "hand"},
-	} {
-		got := fingerprint(runBaroclinicKernels(tc.workers, 8, tc.kernels))
-		if got != want {
-			t.Errorf("kernels=%s workers=%d diverges from kernels=gen workers=1 after 8 steps",
-				tc.kernels, tc.workers)
+		{"ke_vn ke", dy.ke, ke.Fields["ke"]},
+		{"perot_uc ucx", dy.ucx, uc.Fields["ucx"]},
+		{"perot_uc ucy", dy.ucy, uc.Fields["ucy"]},
+		{"perot_uc ucz", dy.ucz, uc.Fields["ucz"]},
+		{"perot_vt vt", dy.vt, vt.Fields["vt"]},
+	}
+	for _, workers := range []int{1, 4} {
+		sched.SetWorkers(workers)
+		for _, o := range outputs {
+			for i := range o.live {
+				o.live[i] = math.NaN() // any survivor shows up in %x
+			}
+		}
+		dy.KineticEnergyKernel()
+		dy.TangentialKernel()
+		for _, o := range outputs {
+			if fmt.Sprintf("%x", o.live) != fmt.Sprintf("%x", o.want) {
+				t.Errorf("%s: bound kernel diverges from the interpreter at workers=%d", o.name, workers)
+			}
 		}
 	}
 }

@@ -127,19 +127,6 @@ var GatedCustomMetrics = map[string]Policy{
 	// boundary messages are in flight. Dropping below the floor means
 	// the partition stopped hiding its communication.
 	"halo_overlap_frac": {Direction: HigherIsBetter, Tolerance: 0.10, Floor: 0.5},
-	// gen_kernel_speedup_x is the aggregate wall-time ratio of the
-	// hand-written kernel twins over the SDFG-generated defaults, summed
-	// across all production kernels (BenchmarkGenKernelSpeedup). The floor
-	// is the codegen PR's acceptance contract: the generated kernels may
-	// never be slower than the hand code they replaced. A ratio is already
-	// machine-normalized, so it is Unscaled.
-	"gen_kernel_speedup_x": {Direction: HigherIsBetter, Tolerance: 0.15, Floor: 1.0},
-	// gen_speedup_x is the same ratio per kernel (the sub-benchmarks of
-	// BenchmarkGenKernelSpeedup). No floor: several kernels are expected
-	// ≈1.0 — the generated body is the same arithmetic — and would flap a
-	// per-kernel floor on runner noise; the wide band still trends them
-	// and catches a kernel-local collapse.
-	"gen_speedup_x": {Direction: HigherIsBetter, Tolerance: 0.25},
 }
 
 // PolicyFor resolves the gating rule for a metric unit.

@@ -223,15 +223,15 @@ func TestCompareMissingBenchmarkFailsGate(t *testing.T) {
 func TestCompareNewMetricsReported(t *testing.T) {
 	oldB := fixture("BenchmarkOld", map[string]Summary{"ns/op": tight(1e6)})
 	newB := fixture("BenchmarkOld", map[string]Summary{
-		"ns/op":         tight(1e6),
-		"gen_speedup_x": tight(1.3),
+		"ns/op":             tight(1e6),
+		"overlap_speedup_x": tight(1.3),
 	})
 	newB.Benchmarks["BenchmarkBrandNew"] = map[string]Summary{"ns/op": tight(5e5)}
 	rep := Compare(oldB, newB)
 	if !rep.OK() {
 		t.Fatalf("new entries failed the gate: %+v", rep)
 	}
-	want := []string{"BenchmarkBrandNew", "BenchmarkOld [gen_speedup_x]"}
+	want := []string{"BenchmarkBrandNew", "BenchmarkOld [overlap_speedup_x]"}
 	if len(rep.New) != len(want) {
 		t.Fatalf("New = %v, want %v", rep.New, want)
 	}
@@ -241,30 +241,8 @@ func TestCompareNewMetricsReported(t *testing.T) {
 		}
 	}
 	if txt := rep.Format(); !strings.Contains(txt, "new metric recorded: BenchmarkBrandNew") ||
-		!strings.Contains(txt, "new metric recorded: BenchmarkOld [gen_speedup_x]") {
+		!strings.Contains(txt, "new metric recorded: BenchmarkOld [overlap_speedup_x]") {
 		t.Errorf("report text lacks new-metric lines:\n%s", txt)
-	}
-}
-
-// TestCompareGenKernelFloorGates: the generated-kernel aggregate speedup
-// is a standing ≥1.0 contract — a sub-1.0 median fails even on its first
-// recorded appearance, while the per-kernel gen_speedup_x has no floor.
-func TestCompareGenKernelFloorGates(t *testing.T) {
-	oldB := fixture("BenchmarkOther", map[string]Summary{"ns/op": tight(1e6)})
-	newB := fixture("BenchmarkGenKernelSpeedup/aggregate", map[string]Summary{
-		"gen_kernel_speedup_x": tight(0.93),
-	})
-	newB.Benchmarks["BenchmarkOther"] = map[string]Summary{"ns/op": tight(1e6)}
-	newB.Benchmarks["BenchmarkGenKernelSpeedup/ke_vn"] = map[string]Summary{
-		"gen_speedup_x": tight(0.93),
-	}
-	rep := Compare(oldB, newB)
-	if rep.OK() || len(rep.FloorViolations) != 1 {
-		t.Fatalf("0.93× aggregate passed the 1.0 floor: %+v", rep)
-	}
-	if fv := rep.FloorViolations[0]; fv.Metric != "gen_kernel_speedup_x" {
-		t.Errorf("flagged %s %s, want the aggregate (per-kernel has no floor)",
-			fv.Benchmark, fv.Metric)
 	}
 }
 

@@ -57,11 +57,6 @@ type Config struct {
 	// (internal/sched); 0 keeps the current setting (GOMAXPROCS by
 	// default). Results are bit-identical at every width.
 	Workers int
-	// Kernels selects the hot-path kernel implementation: "" or "gen"
-	// dispatches the SDFG-generated kernels (internal/gen, the default),
-	// "hand" the retained hand-written twins. Both are bit-identical; the
-	// seam lets the determinism matrix prove it end to end.
-	Kernels string
 	// NoOverlap serialises the two sides of the coupling window on the
 	// caller's goroutine (GPU side first, then CPU side) instead of
 	// overlapping them. The zero value keeps the paper's functional
@@ -177,10 +172,6 @@ func New(cfg Config, gpu, cpu *exec.Device) *EarthSystem {
 
 	es := &EarthSystem{Cfg: cfg, G: g, Mask: mask, GPU: gpu, CPU: cpu}
 	es.Atm = atmos.NewModel(g, vertA, gpu)
-	if cfg.Kernels == "hand" {
-		g.SetKernels("hand")
-		es.Atm.Dyn.SetKernels("hand")
-	}
 	if cfg.GrayRadiation {
 		es.Atm.Rad = atmos.NewRadiation()
 		// Radiation takes over the deep-atmosphere cooling; weaken the
@@ -468,9 +459,8 @@ func (es *EarthSystem) gpuStep(dt float64) {
 
 	// Water accounting: precipitation over ocean and ocean evaporation move
 	// water between the atmosphere and the (accounted) ocean reservoir.
-	for i, c := range oc.Cells {
+	for _, c := range oc.Cells {
 		es.oceanWaterAccount += (fl.Precip[c] - fl.Evaporation[c]) * dt * g.CellArea[c]
-		_ = i
 	}
 	// River discharge reaches the ocean account the moment it leaves land;
 	// the buffered mass enters the ocean's salinity forcing next window.
@@ -573,11 +563,9 @@ func (es *EarthSystem) radiativeBalance(c int) float64 {
 		return 0
 	}
 	sst := es.Oc.State.SST(oi)
-	lat, _ := es.G.CellCenter[c].LatLon()
 	sw := es.swDown[c] * 0.93 // after albedo
 	// Linearised longwave cooling around 15 °C.
 	lw := 180 + 2.0*(sst-15)
-	_ = lat
 	return sw - lw
 }
 

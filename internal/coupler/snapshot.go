@@ -19,71 +19,37 @@ import (
 const scalarFields = 6
 
 // Snapshot gathers every prognostic field of the coupled system plus the
-// coupler's exchange buffers and scalar accounting. The snapshot
+// coupler's exchange buffers and scalar accounting: exactly the entries
+// ApplySnapshot restores (fieldTable) plus "coupler.scalars". The snapshot
 // references the live slices (no copy); write it out before stepping
 // further.
 func (es *EarthSystem) Snapshot() *restart.Snapshot {
-	snap := restart.NewSnapshot()
-	a := es.Atm.State
-	snap.Add("atm.rho", a.Rho)
-	snap.Add("atm.rhotheta", a.RhoTheta)
-	snap.Add("atm.vn", a.Vn)
-	snap.Add("atm.w", a.W)
-	snap.Add("atm.precip", a.PrecipAccum)
-	// Exner/Theta are diagnostics of (rho, rhotheta) in exact arithmetic
-	// but the dycore maintains them incrementally, so recomputing them on
-	// restore (UpdateDiagnostics) perturbs the last bit — and the coupler's
-	// pCO₂ reads Exner, so that bit walks straight into the carbon cycle.
-	// Checkpoint them and restore exactly.
-	snap.Add("atm.exner", a.Exner)
-	snap.Add("atm.theta", a.Theta)
-	for t := range a.Tracers {
-		snap.Add(fmt.Sprintf("atm.tracer%d", t), a.Tracers[t])
-	}
-	o := es.Oc.State
-	snap.Add("oc.eta", o.Eta)
-	snap.Add("oc.ub", o.Ub)
-	snap.Add("oc.temp", o.Temp)
-	snap.Add("oc.salt", o.Salt)
-	snap.Add("oc.u", o.U)
-	snap.Add("oc.icethick", o.IceThick)
-	snap.Add("oc.icefrac", o.IceFrac)
-	l := es.Land.State
-	snap.Add("land.soiltemp", l.SoilTemp)
-	snap.Add("land.soilmoist", l.SoilMoist)
-	snap.Add("land.snow", l.Snow)
-	snap.Add("land.skin", l.Skin)
-	snap.Add("land.pools", l.Pools)
-	snap.Add("land.lai", l.LAI)
-	snap.Add("land.cover", l.Cover)
-	snap.Add("land.nppavg", l.NPPAvg)
-	snap.Add("land.runoff", l.Runoff)
-	snap.Add("land.cumnee", l.CumNEE)
-	b := es.Bgc.State
-	for t := 0; t < bgc.NumTracers; t++ {
-		snap.Add(fmt.Sprintf("bgc.tracer%d", t), b.Tracers[t])
-	}
-	snap.Add("bgc.cumairsea", b.CumAirSea)
-	for _, xf := range es.ExchangeState() {
-		snap.Add(xf.Name, xf.Data)
-	}
+	fields := es.fieldTable()
 	// Scalar accounting: without it a restored run would report the wrong
 	// conserved totals (oceanWaterAccount) and window count. The exchange
 	// generation index rides along so a rollback taken between buffer
 	// flips restores the very front/back parity the snapshot saw.
-	snap.Add("coupler.scalars", []float64{
+	fields["coupler.scalars"] = []float64{
 		es.simTime, float64(es.windows), es.oceanWaterAccount,
 		es.AtmWait, es.OceanWait, float64(es.x.gen),
-	})
-	return snap
+	}
+	return &restart.Snapshot{Fields: fields}
 }
 
-// fieldTable maps snapshot names to the live destination slices.
+// fieldTable maps snapshot names to the live slices — the one list of
+// what a checkpoint holds, read by Snapshot and written by ApplySnapshot.
+// Each call builds a fresh map.
 func (es *EarthSystem) fieldTable() map[string][]float64 {
 	a, o, l, b := es.Atm.State, es.Oc.State, es.Land.State, es.Bgc.State
 	tbl := map[string][]float64{
 		"atm.rho": a.Rho, "atm.rhotheta": a.RhoTheta, "atm.vn": a.Vn,
 		"atm.w": a.W, "atm.precip": a.PrecipAccum,
+		// Exner/Theta are diagnostics of (rho, rhotheta) in exact
+		// arithmetic but the dycore maintains them incrementally, so
+		// recomputing them on restore (UpdateDiagnostics) perturbs the last
+		// bit — and the coupler's pCO₂ reads Exner, so that bit walks
+		// straight into the carbon cycle. Checkpoint them and restore
+		// exactly.
 		"atm.exner": a.Exner, "atm.theta": a.Theta,
 		"oc.eta": o.Eta, "oc.ub": o.Ub, "oc.temp": o.Temp, "oc.salt": o.Salt,
 		"oc.u": o.U, "oc.icethick": o.IceThick, "oc.icefrac": o.IceFrac,

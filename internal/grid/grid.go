@@ -110,17 +110,12 @@ type Grid struct {
 	// Geometry that is already a flat slice (EdgeLength, DualLength,
 	// CellArea) is bound directly and not duplicated here.
 	Gen GenTables
-
-	// kernels selects the operator implementation: "" or "gen" dispatches
-	// the SDFG-generated bodies (the default), "hand" the hand-written
-	// twins where one is retained. See SetKernels.
-	kernels string
 }
 
 // GenTables is the slice-per-array form of the grid's [][3] neighbour
 // tables and operator coefficients — the binding surface of the generated
-// kernels. Coefficients are computed by the exact Go expressions the hand
-// kernels evaluated inline, so binding them preserves bit-identity.
+// kernels. Each coefficient is computed once at grid build; the kernel
+// sources in internal/sdfg/genkernels.go read them as plain fields.
 type GenTables struct {
 	Iel1, Iel2, Iel3 []int     // CellEdges columns
 	Icell1, Icell2   []int     // EdgeCells columns
@@ -478,9 +473,8 @@ func (g *Grid) computeGeometry() {
 }
 
 // buildGenTables flattens the [][3] tables into the per-column slices the
-// generated kernels bind. The W weights use the identical expression the
-// hand LaplacianLevels evaluated per element, so precomputation changes
-// no bits.
+// generated kernels bind. W is the whole per-(cell,edge) Laplacian
+// weight, so lap_levels does one multiply per edge per level.
 func (g *Grid) buildGenTables() {
 	t := &g.Gen
 	t.Iel1 = make([]int, g.NCells)
@@ -517,48 +511,19 @@ func (g *Grid) buildGenTables() {
 	}
 }
 
-// SetKernels selects the operator implementation: "gen" (or "") for the
-// SDFG-generated bodies, "hand" for the hand-written twins where one is
-// retained in-tree. The esmrun -kernels flag reaches this through the
-// coupler.
-func (g *Grid) SetKernels(mode string) { g.kernels = mode }
-
 // Divergence computes the discrete divergence of an edge-normal velocity
 // field un (m/s) into div (1/s) at cell centres:
 // div(c) = 1/A_c Σᵢ orient·u·l. The two slices must have lengths NEdges and
-// NCells. Dispatches the SDFG-generated div_cell kernel (hand twin under
-// SetKernels("hand")).
+// NCells. Dispatches the SDFG-generated div_cell kernel.
 func (g *Grid) Divergence(un, div []float64) {
-	if g.kernels == "hand" {
-		sched.Run(g.NCells, func(lo, hi int) {
-			for c := lo; c < hi; c++ {
-				var s float64
-				for i, e := range g.CellEdges[c] {
-					s += float64(g.EdgeOrient[c][i]) * un[e] * g.EdgeLength[e]
-				}
-				div[c] = s / g.CellArea[c]
-			}
-		})
-		return
-	}
 	t := &g.Gen
 	sched.Run(g.NCells, gen.BindDivCell(g.CellArea, div, g.EdgeLength, t.O1, t.O2, t.O3, un, t.Iel1, t.Iel2, t.Iel3))
 }
 
 // Gradient computes the discrete normal gradient of a cell field psi onto
 // edges: grad(e) = (ψ(c1)-ψ(c0))/d_e, following the edge normal direction.
-// Dispatches the SDFG-generated grad_edge kernel (hand twin under
-// SetKernels("hand")).
+// Dispatches the SDFG-generated grad_edge kernel.
 func (g *Grid) Gradient(psi, grad []float64) {
-	if g.kernels == "hand" {
-		sched.Run(g.NEdges, func(lo, hi int) {
-			for e := lo; e < hi; e++ {
-				c0, c1 := g.EdgeCells[e][0], g.EdgeCells[e][1]
-				grad[e] = (psi[c1] - psi[c0]) / g.DualLength[e]
-			}
-		})
-		return
-	}
 	sched.Run(g.NEdges, gen.BindGradEdge(g.DualLength, grad, psi, g.Gen.Icell1, g.Gen.Icell2))
 }
 

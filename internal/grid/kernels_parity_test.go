@@ -1,69 +1,63 @@
-package grid
+package grid_test
 
 import (
 	"fmt"
 	"math"
 	"testing"
 
+	"icoearth/internal/grid"
 	"icoearth/internal/sched"
+	"icoearth/internal/sdfg"
 )
 
-// TestGridOperatorHandGenBitIdentical: every grid operator behind the
-// kernel seam must produce bit-identical (%x) output under the generated
-// kernels (default) and the hand twins, at workers {1,4}.
+// TestGridOperatorHandGenBitIdentical (the name is kept for test-ID
+// continuity; the reference is now the interpreter): every grid operator
+// backed by a generated kernel, called through the Grid method at workers
+// {1,4}, must reproduce bit for bit (%x) what sdfg.Interpret computes
+// from the DSL source over the same input. internal/gen's parity test
+// proves generated == interpreter per kernel; this one proves the
+// operator's own gen.Bind* call — which slice and which Gen table feeds
+// which parameter.
 func TestGridOperatorHandGenBitIdentical(t *testing.T) {
-	g := New(R2B(2))
+	g := grid.New(grid.R2B(2))
 	defer sched.SetWorkers(0)
-	defer g.SetKernels("gen")
 
 	const nlev = 5
-	un := make([]float64, g.NEdges)
-	psi := make([]float64, g.NCells)
-	psiLev := make([]float64, g.NCells*nlev)
-	for i := range un {
-		un[i] = math.Sin(float64(i) * 0.7)
-	}
-	for i := range psi {
-		psi[i] = math.Cos(float64(i) * 0.3)
-	}
-	for i := range psiLev {
-		psiLev[i] = math.Sin(float64(i)*0.11 + 1)
-	}
-
 	ops := []struct {
-		name string
-		run  func(out []float64)
-		size int
+		name            string
+		kernel, in, out string
+		run             func(in, out []float64)
 	}{
-		{"divergence", func(out []float64) { g.Divergence(un, out) }, g.NCells},
-		{"gradient", func(out []float64) { g.Gradient(psi, out) }, g.NEdges},
-		{"laplacian", func(out []float64) { g.Laplacian(psi, out) }, g.NCells},
-		{"laplacian_levels", func(out []float64) { g.LaplacianLevels(psiLev, out, nlev) }, g.NCells * nlev},
+		{"divergence", "div_cell", "un", "div", g.Divergence},
+		{"gradient", "grad_edge", "psi", "grad", g.Gradient},
+		{"laplacian", "lap_cell", "psi", "lap", g.Laplacian},
+		{"laplacian_levels", "lap_levels", "psi", "lap",
+			func(in, out []float64) { g.LaplacianLevels(in, out, nlev) }},
 	}
 	for _, op := range ops {
 		t.Run(op.name, func(t *testing.T) {
-			out := make([]float64, op.size)
-			g.SetKernels("gen")
-			sched.SetWorkers(1)
-			op.run(out)
-			want := fmt.Sprintf("%x", out)
-			for _, tc := range []struct {
-				kernels string
-				workers int
-			}{
-				{"hand", 1},
-				{"gen", 4},
-				{"hand", 4},
-			} {
+			sd, b, err := sdfg.BindProduction(op.kernel, g, nlev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := b.Fields[op.in]
+			for i := range in {
+				in[i] = math.Sin(float64(i)*0.7 + 1)
+			}
+			if err := sdfg.Interpret(sd, b); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("%x", b.Fields[op.out])
+
+			out := make([]float64, len(b.Fields[op.out]))
+			for _, workers := range []int{1, 4} {
 				for i := range out {
-					out[i] = math.NaN()
+					out[i] = math.NaN() // any survivor shows up in %x
 				}
-				g.SetKernels(tc.kernels)
-				sched.SetWorkers(tc.workers)
-				op.run(out)
+				sched.SetWorkers(workers)
+				op.run(in, out)
 				if got := fmt.Sprintf("%x", out); got != want {
-					t.Errorf("kernels=%s workers=%d diverges from kernels=gen workers=1",
-						tc.kernels, tc.workers)
+					t.Errorf("operator diverges from the interpreter at workers=%d", workers)
 				}
 			}
 		})

@@ -16,53 +16,19 @@ import (
 // harmonics, whose eigenvalues are −l(l+1)/R²). Cell-parallel on the
 // worker pool; each output cell is an independent gather.
 // Dispatches the SDFG-generated lap_cell kernel, whose emitted prologue
-// hoists the 9 distinct nested index lookups per cell (hand twin under
-// SetKernels("hand")).
+// hoists the 9 distinct nested index lookups per cell.
 func (g *Grid) Laplacian(psi, out []float64) {
-	if g.kernels == "hand" {
-		sched.Run(g.NCells, func(lo, hi int) {
-			for c := lo; c < hi; c++ {
-				var s float64
-				for i, e := range g.CellEdges[c] {
-					c0, c1 := g.EdgeCells[e][0], g.EdgeCells[e][1]
-					grad := (psi[c1] - psi[c0]) / g.DualLength[e]
-					s += float64(g.EdgeOrient[c][i]) * grad * g.EdgeLength[e]
-				}
-				out[c] = s / g.CellArea[c]
-			}
-		})
-		return
-	}
 	t := &g.Gen
 	sched.Run(g.NCells, gen.BindLapCell(g.CellArea, g.DualLength, g.EdgeLength, out,
 		t.O1, t.O2, t.O3, psi, t.Icell1, t.Icell2, t.Iel1, t.Iel2, t.Iel3))
 }
 
 // LaplacianLevels applies the Laplacian level-by-level to a cell×nlev
-// field (level-fastest layout). The zero-init and accumulate sweeps are
-// fused into a single pass over out: per (cell,level) the edge
-// contributions accumulate left-to-right in a register, which is the
-// identical addition order to the former zero-then-+= form.
-// Dispatches the SDFG-generated lap_levels kernel with the per-(cell,edge)
-// weight precomputed once at grid build by the identical expression the
-// hand twin evaluated per element (hand twin under SetKernels("hand")).
+// field (level-fastest layout): per (cell,level) the three edge
+// contributions accumulate left to right in a register. Dispatches the
+// SDFG-generated lap_levels kernel with the per-(cell,edge) weight
+// Gen.W1…3 precomputed once at grid build.
 func (g *Grid) LaplacianLevels(psi, out []float64, nlev int) {
-	if g.kernels == "hand" {
-		sched.Run(g.NCells, func(lo, hi int) {
-			for c := lo; c < hi; c++ {
-				for k := 0; k < nlev; k++ {
-					var s float64
-					for i, e := range g.CellEdges[c] {
-						c0, c1 := g.EdgeCells[e][0], g.EdgeCells[e][1]
-						w := float64(g.EdgeOrient[c][i]) * g.EdgeLength[e] / (g.DualLength[e] * g.CellArea[c])
-						s += w * (psi[c1*nlev+k] - psi[c0*nlev+k])
-					}
-					out[c*nlev+k] = s
-				}
-			}
-		})
-		return
-	}
 	t := &g.Gen
 	sched.Run(g.NCells, gen.BindLapLevels(nlev, out, psi, t.W1, t.W2, t.W3,
 		t.Icell1, t.Icell2, t.Iel1, t.Iel2, t.Iel3))

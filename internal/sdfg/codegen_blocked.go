@@ -8,10 +8,10 @@ import (
 	"strings"
 )
 
-// This file is the production codegen backend: where CodegenGo emits a
-// map-backed function for interpreter-parity inspection, CodegenGoBlocked
-// emits the form that ships in the build — a binder over concrete slices
-// returning an NPROMA block body compatible with the sched pool:
+// This file is the codegen backend — the analogue of DaCe's code
+// generation stage. CodegenGoBlocked emits the form that ships in the
+// build: a binder over concrete slices returning an NPROMA block body
+// compatible with the sched pool:
 //
 //	func Bind<Name>(nInner int, <fields...> []float64, <tables...> []int) func(lo, hi int)
 //
@@ -28,8 +28,8 @@ import (
 // subscripts use int arithmetic that agrees with the interpreter's
 // float64-evaluate-then-truncate on all representable indices (< 2⁵³), and
 // no term is reordered or folded — so generated == Compile == Interpret
-// bit for bit, and a DSL source transcribed from a hand kernel in the same
-// association order is bit-identical to the hand kernel too.
+// bit for bit: the association order written in the DSL source is the
+// order the shipped code evaluates.
 //
 // On top of the hoisted index lookups the emitter performs load CSE:
 // float loads of arrays the kernel never writes are bound to locals —
@@ -610,6 +610,17 @@ func (em *blockedEmitter) floatExpr(e Expr) (string, error) {
 		return fmt.Sprintf("%s[%s]", em.pname(v.Name), idx), nil
 	}
 	return "", fmt.Errorf("sdfg: unknown expression %T", e)
+}
+
+// sanitize maps a DSL name onto the Go identifier alphabet.
+func sanitize(s string) string {
+	return strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
+			return r
+		}
+		return '_'
+	}, s)
 }
 
 // camel converts a kernel name like "perot_uc" to "PerotUc".

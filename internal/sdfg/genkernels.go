@@ -6,22 +6,22 @@ import (
 	"icoearth/internal/grid"
 )
 
-// This file is the production kernel library for the blocked codegen
-// backend (codegen_blocked.go): the DSL sources whose generated binders
+// This file is the production kernel library of the codegen backend
+// (codegen_blocked.go): the DSL sources whose generated binders
 // are compiled into internal/gen and dispatched by the dycore and the
 // grid operators, plus the grid-backed bindings cmd/codegen uses to run
 // the static verifier before emitting.
 //
-// Every source below is a transcription of a hand-written kernel in the
-// hand kernel's exact association order, so the generated code is
-// bit-identical to what it replaces — including signed-zero behaviour:
-// accumulator-style hand loops start from s = 0 and fold terms in
-// left-to-right order, which the sources mirror with an explicit leading
-// "0.0 +" (0 + (-0) is +0 in IEEE-754, so the leading term is not
-// removable).
+// Each source is the one place its kernel's arithmetic is written down,
+// and the association order written here is the contract: the emitter
+// parenthesises every binary operation and reorders nothing, so these
+// expressions fix the bits of every trajectory, -sums fingerprint and
+// checkpoint. That includes signed zeros: sums that fold from an
+// accumulator start with an explicit leading "0.0 +" (0 + (-0) is +0 in
+// IEEE-754, so the leading term is not removable).
 
 // KeVnSource is z_ekinh over the prognostic vn with the grid's kinetic
-// coefficients — the Dycore.parKE hand kernel:
+// coefficients — Dycore.parKE:
 // ke = Σᵢ wᵢ·vn(eᵢ)·vn(eᵢ), each term associated (wᵢ·vn)·vn.
 const KeVnSource = `
 KERNEL ke_vn
@@ -33,11 +33,10 @@ END DO
 END KERNEL
 `
 
-// PerotUcSource is the cell-centre Perot vector reconstruction — the
-// Dycore.parUC hand kernel with the Vec3 accumulator split into three
-// component fields. The three statements share every index lookup and
-// fuse into one group, so iel1..3 are loaded once per cell for all three
-// components (the hand kernel re-walked CellEdges per level).
+// PerotUcSource is the cell-centre Perot vector reconstruction —
+// Dycore.parUC — one component field per statement. The three statements
+// share every index lookup and fuse into one group, so iel1..3 are
+// loaded once per cell for all three components.
 const PerotUcSource = `
 KERNEL perot_uc
 DO jc = 1, ncells
@@ -51,7 +50,7 @@ END KERNEL
 `
 
 // PerotVtSource projects the edge-mean of the reconstructed cell vectors
-// onto the edge tangent — the Dycore.parVT hand kernel:
+// onto the edge tangent — Dycore.parVT:
 // vt = (0.5·(uc(c₀)+uc(c₁)))·t̂, dot product folded x,y,z left to right.
 const PerotVtSource = `
 KERNEL perot_vt
@@ -65,8 +64,7 @@ END KERNEL
 
 // DivCellSource is the C-grid divergence gather — Grid.Divergence:
 // div = (Σᵢ (oᵢ·un(eᵢ))·l(eᵢ)) / A. The edge length is looked up through
-// the hoisted edge index, exactly like the hand kernel's shared
-// EdgeLength array.
+// the hoisted edge index into the grid's shared EdgeLength array.
 const DivCellSource = `
 KERNEL div_cell
 DO jc = 1, ncells
@@ -100,7 +98,7 @@ END KERNEL
 
 // LapLevelsSource is the level-by-level Laplacian — Grid.LaplacianLevels —
 // with the per-(cell,edge) weight w = o·l/(d·A) precomputed into w1..w3
-// by the same Go expression the hand kernel evaluated inline.
+// at grid build (grid.GenTables).
 const LapLevelsSource = `
 KERNEL lap_levels
 DO jc = 1, ncells

@@ -426,12 +426,12 @@ func TestVerticalOffsetKernel(t *testing.T) {
 		}
 	}
 	// And the generated Go carries the lower bound.
-	src, err := CodegenGo(g, b)
+	bk, err := CodegenGoBlocked(g, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(src, "for jk := 1; jk < nInner") {
-		t.Errorf("codegen lost the lower bound:\n%s", src)
+	if !strings.Contains(bk.Source, "for jk := 1; jk < nInner") {
+		t.Errorf("codegen lost the lower bound:\n%s", bk.Source)
 	}
 }
 

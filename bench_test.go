@@ -10,16 +10,15 @@ package icoearth
 // regenerates every number the paper reports (EXPERIMENTS.md records the
 // comparison).
 //
-// Custom metric names are part of the repo's perf-regression contract:
-// cmd/benchgate keys its BENCH_<n>.json baselines on them, so they are
-// stable snake_case identifiers — renaming one invalidates every
-// committed baseline (benchgate flags the old name as missing). The
-// wall-clock-derived ones (tau_simdays_per_day, cells_per_sec,
-// tau_simulated) are gated; the model-projection ones are recorded as
-// informational trajectory (see internal/bench's policy table).
+// These are regenerators and `-cpuprofile` entry points, not a regression
+// check: whether a change made the model slower is answered by the repo
+// benchmark (BENCHMARK.json, `bash benchmark/run.sh`), measured on parent
+// and change on one host. Custom metric names are stable snake_case
+// identifiers that EXPERIMENTS.md and DESIGN.md quote; benchmark/README.md
+// maps the measured ones onto the benchmark metrics that carry them.
 //
 // The multi-simulation benchmarks are guarded behind -short so tier-1
-// (`go test -short ./...`) and `benchgate -short` stay fast.
+// (`go test -short ./...`) stays fast.
 
 import (
 	"fmt"
@@ -336,9 +335,9 @@ func BenchmarkTauPracticalLimit(b *testing.B) {
 
 // BenchmarkCoupledStepWallClock measures the real wall-clock cost of one
 // coupled window at laptop scale (the library's own throughput). Its two
-// custom metrics are the repo's gated headline numbers: the achieved
-// temporal compression (simulated days per wall-clock day, the paper's
-// τ) and the atmosphere cell-update rate.
+// custom metrics are the repo's headline numbers: the achieved temporal
+// compression (simulated days per wall-clock day, the paper's τ) and the
+// atmosphere cell-update rate.
 func BenchmarkCoupledStepWallClock(b *testing.B) {
 	sim, err := NewSimulation(Options{})
 	if err != nil {
@@ -355,19 +354,19 @@ func BenchmarkCoupledStepWallClock(b *testing.B) {
 	atmSteps := sim.ES.SimTime() / sim.ES.Cfg.AtmDt
 	b.ReportMetric(float64(sim.ES.G.NCells)*atmSteps/wall, "cells_per_sec")
 	// The paper's coupling-wait story: the atmosphere should (almost)
-	// never wait for the ocean side. Reported on every host, so the gated
-	// LowerIsBetter policy engages even where the speedup benches skip.
+	// never wait for the ocean side. Reported on every host, including
+	// those where the speedup benches skip.
 	b.ReportMetric(sim.ES.AtmWaitFrac(), "atm_wait_frac")
 }
 
-// BenchmarkStepWindow is the tracing layer's overhead contract: an
-// untraced coupled window, with allocations reported so benchgate's
-// zero-tolerance allocs/op policy proves the disabled tracer's nil-check
-// fast path adds no heap traffic to the hot loop. trace_overhead_frac is
-// the measured worst-case cost of the disabled instrumentation as a
-// fraction of the window's wall time — the "<1% when off" guarantee —
-// computed as (trace ops one traced window records) × (measured
-// disabled-path cost per op) / (untraced window wall time).
+// BenchmarkStepWindow is the tracing layer's overhead measurement: an
+// untraced coupled window, with allocations reported so that any heap
+// traffic the disabled tracer's nil-check fast path added to the hot loop
+// would show as allocs/op. trace_overhead_frac is the measured worst-case
+// cost of the disabled instrumentation as a fraction of the window's wall
+// time — the "<1% when off" guarantee — computed as (trace ops one traced
+// window records) × (measured disabled-path cost per op) / (untraced
+// window wall time).
 func BenchmarkStepWindow(b *testing.B) {
 	sim, err := NewSimulation(Options{})
 	if err != nil {
@@ -408,10 +407,10 @@ func BenchmarkStepWindow(b *testing.B) {
 }
 
 // BenchmarkStepWindowSpeedup is the coupled-window version of the worker
-// pool's acceptance contract: wall time of a full coupled window (dycore,
-// physics, transport, ocean, ice, bgc, exchanges) at pool width 1 over
-// width 4, reported as the gated parallel_speedup_x metric. Skips below
-// 4 cores — the ratio is meaningless when the widths share one thread.
+// pool's acceptance measurement: wall time of a full coupled window
+// (dycore, physics, transport, ocean, ice, bgc, exchanges) at pool width 1
+// over width 4, reported as parallel_speedup_x. Skips below 4 cores — the
+// ratio is meaningless when the widths share one thread.
 func BenchmarkStepWindowSpeedup(b *testing.B) {
 	if runtime.NumCPU() < 4 {
 		b.Skipf("need ≥4 CPUs for a speedup measurement, have %d", runtime.NumCPU())
@@ -439,17 +438,17 @@ func BenchmarkStepWindowSpeedup(b *testing.B) {
 }
 
 // BenchmarkStepWindowOverlapSpeedup is the functional-parallelism
-// acceptance contract (§5.1): wall time of the coupled window with the
+// acceptance measurement (§5.1): wall time of the coupled window with the
 // ocean+BGC side serialised after the atmosphere (NoOverlap) over the
-// overlapped default, reported as the gated overlap_speedup_x metric
-// (floor 1.2). Both runs use the same worker width, so the ratio
+// overlapped default, reported as overlap_speedup_x (PR 7's target: 1.2
+// on ≥4 cores). Both runs use the same worker width, so the ratio
 // isolates the side-level overlap from the intra-kernel parallelism, and
 // atm_wait_frac from the overlapped run rides along as the paper's
 // wait-fraction diagnostic. The ocean runs at the atmosphere's timestep
 // so the CPU side genuinely fills the coupling window, as in the paper's
 // configuration — with the laptop default (one ocean step per window)
 // the CPU side is ~13% of the window and even perfect overlap could not
-// reach the floor. Skips below 4 cores, where the two sides cannot
+// reach 1.2. Skips below 4 cores, where the two sides cannot
 // genuinely execute at the same time.
 func BenchmarkStepWindowOverlapSpeedup(b *testing.B) {
 	if runtime.NumCPU() < 4 {
@@ -542,8 +541,7 @@ func BenchmarkOceanSolverScaling(b *testing.B) {
 					// default configuration: per-solve traffic is the
 					// per-window halo volume the paper's network model
 					// prices. Both are structural counts (partition +
-					// iteration trajectory), not timings, so the gate can
-					// hold them tight.
+					// iteration trajectory), not timings.
 					b.ReportMetric(float64(haloBytes), "halo_bytes_per_window")
 					b.ReportMetric(overlapFrac, "halo_overlap_frac")
 				}
@@ -610,7 +608,7 @@ func BenchmarkSupervisedWindow(b *testing.B) {
 // overlapped with the next coupling window. durable_ckpt_ns_per_window is
 // the UNHIDDEN per-window cost — the join of the previous write plus the
 // snapshot clone and dispatch — and ckpt_bytes_per_window the durable
-// payload published per window; both are gated (compare.go).
+// payload published per window.
 func BenchmarkDurableCheckpointWindow(b *testing.B) {
 	sim, err := NewSimulation(Options{})
 	if err != nil {

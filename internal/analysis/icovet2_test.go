@@ -443,8 +443,8 @@ func jitter(seed int64) float64 {
 `); len(d) != 0 {
 		t.Errorf("seeded rng flagged: %v", d)
 	}
-	if d := checkSrc(t, NonDetSeed, "icoearth/internal/bench", "calib.go", `
-package bench
+	if d := checkSrc(t, NonDetSeed, "icoearth/internal/trace", "trace.go", `
+package trace
 
 import "time"
 

@@ -413,8 +413,8 @@ const maxCallDepth = 4
 // kernelPackages are the import-path suffixes whose code runs inside
 // the simulation loop; the determinism analyzers that scan whole
 // packages (nondetseed) restrict themselves to these, leaving
-// measurement harnesses (internal/bench, internal/trace) and command
-// drivers free to read wall clocks.
+// measurement harnesses (benchmark/, internal/trace) and command
+// drivers (cmd/*) free to read wall clocks.
 var kernelPackages = []string{
 	"internal/atmos", "internal/ocean", "internal/bgc", "internal/land",
 	"internal/grid", "internal/sphere", "internal/vertical",

@@ -11,8 +11,8 @@ import (
 // the restart layer checksums state, and the width-1-vs-N equivalence
 // tests diff entire trajectories — all of which break the moment
 // simulation code consults time.Now or the process-global math/rand
-// source. Timing belongs to the measurement layers (internal/trace,
-// internal/bench, cmd/*), which are out of scope; code inside the loop
+// source. Timing belongs to the measurement layers (benchmark/,
+// internal/trace, cmd/*), which are out of scope; code inside the loop
 // takes a clock or a seeded *rand.Rand as an explicit dependency it can
 // be handed a deterministic implementation of.
 //

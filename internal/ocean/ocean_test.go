@@ -248,8 +248,11 @@ func TestDistributedCGBitIdenticalAligned(t *testing.T) {
 						nranks, r, i, eta[i], etaSerial[i])
 				}
 			}
-			if nranks > 1 && fracs[r] <= 0 {
-				t.Errorf("nranks=%d rank %d: no interior overlap region", nranks, r)
+			// Interior rows are what hide the halo exchange; a rank that
+			// is mostly boundary has nothing to compute while frames fly.
+			if nranks > 1 && fracs[r] < 0.5 {
+				t.Errorf("nranks=%d rank %d: interior share %.3f of owned rows, want ≥ 0.5",
+					nranks, r, fracs[r])
 			}
 		}
 	}

@@ -207,9 +207,9 @@ func BenchmarkDispatchReduce(b *testing.B) {
 	_ = sink
 }
 
-// TestDispatchZeroAllocs enforces the steady-state contract in tier-1,
-// independent of the benchgate baseline: once the workers exist, neither
-// a Run dispatch nor a blocked reduction may touch the heap.
+// TestDispatchZeroAllocs enforces the steady-state contract in tier-1:
+// once the workers exist, neither a Run dispatch nor a blocked reduction
+// may touch the heap.
 func TestDispatchZeroAllocs(t *testing.T) {
 	SetWorkers(4)
 	defer SetWorkers(0)

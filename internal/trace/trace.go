@@ -18,8 +18,10 @@
 //	... work ...
 //	tk.EndArg("halo:exchange", t0, "bytes", n)
 //
-// unconditionally; the benchgate-gated budget test in the root package
-// proves the disabled pattern costs well under 1% of a coupled window.
+// unconditionally; BenchmarkStepWindow's trace_overhead_frac in the root
+// package measures the disabled pattern at well under 1% of a coupled
+// window (the repo benchmark's trace.overhead_frac is the same bound for
+// its own span recorder).
 //
 // Ring buffers bound memory: each track keeps the newest Capacity events
 // (oldest overwritten), while per-name span aggregates and counter totals

@@ -1,10 +1,14 @@
 #!/bin/sh
 # verify.sh — the tiered verification gate.
 #
-#   ./verify.sh         tier-1: cleanliness + static analysis + short tests
+#   ./verify.sh         tier-1: cleanliness + static analysis + short tests,
+#                       over the root module and the nested benchmark module
 #   ./verify.sh full    tier-2: adds sdfgdebug assertions, the race detector,
-#                       the full test suite, and the benchgate perf gate
-#                       against the latest committed BENCH_*.json baseline
+#                       the full test suite, and the chaos, crash-resume,
+#                       determinism and transport smokes
+#
+# Performance is not checked here: the repo benchmark (BENCHMARK.json,
+# `bash benchmark/run.sh`) is measured on parent and change on one host.
 #
 # Order: cheapest-to-fail first. Formatting and module drift fail in
 # milliseconds, the static layers (vet, icovet) in seconds, the dynamic
@@ -15,6 +19,7 @@ set -eux
 
 # --- tier 1 -----------------------------------------------------------
 # Formatting: gofmt -l prints offending files; any output is a failure.
+# gofmt walks directories, not modules, so this covers benchmark/ too.
 test -z "$(gofmt -l .)"
 # Module drift: go.mod/go.sum must be exactly what go mod tidy produces.
 go mod tidy -diff
@@ -34,6 +39,11 @@ go vet ./...
 # reviewed bump here and in ci.yml.
 go run ./cmd/icovet -ignore-budget 5 ./...
 go test -short ./...
+# The nested benchmark module (benchmark/go.mod; `./...` above stops at
+# its boundary): same vet and icovet, no ignores, and its tests hold
+# BENCHMARK.json and the program's metric set together.
+(cd benchmark && go vet ./... && go run icoearth/cmd/icovet ./...)
+go test -C benchmark ./...
 
 [ "${1:-}" = "full" ] || exit 0
 
@@ -58,7 +68,12 @@ go run ./cmd/esmrun -hours 0.5 -grid 1 -atmlev 5 -oclev 4 -chaos seed=1
 # path end to end.
 CKPT_DIR="$(mktemp -d)"
 go run ./cmd/esmrun -hours 0.5 -grid 1 -atmlev 5 -oclev 4 -ckpt-dir "$CKPT_DIR/ref" -sums "$CKPT_DIR/a.txt" > /dev/null
-! go run ./cmd/esmrun -hours 0.5 -grid 1 -atmlev 5 -oclev 4 -ckpt-dir "$CKPT_DIR/crash" -crash-at write=manifest-temp:2 > /dev/null
+# (`if`, not `!`: errexit ignores a `!` pipeline, so a crash run that
+# survived would go unnoticed and the resume below compare trivially.)
+if go run ./cmd/esmrun -hours 0.5 -grid 1 -atmlev 5 -oclev 4 -ckpt-dir "$CKPT_DIR/crash" -crash-at write=manifest-temp:2 > /dev/null; then
+	echo "crash run survived its kill point"
+	exit 1
+fi
 go run ./cmd/esmrun -hours 0.5 -grid 1 -atmlev 5 -oclev 4 -resume "$CKPT_DIR/crash" -sums "$CKPT_DIR/b.txt" > /dev/null
 cmp "$CKPT_DIR/a.txt" "$CKPT_DIR/b.txt"
 rm -rf "$CKPT_DIR"
@@ -78,6 +93,3 @@ go build -o "$SUMS_DIR/esmrun" ./cmd/esmrun
 "$SUMS_DIR/esmrun" -hours 0.5 -ranks 4 -transport socket -sums "$SUMS_DIR/socket.txt" > /dev/null
 cmp "$SUMS_DIR/on.txt" "$SUMS_DIR/socket.txt"
 rm -rf "$SUMS_DIR"
-# Perf gate: rerun the benchmark suite and compare against the latest
-# committed BENCH_<n>.json (tolerances live in internal/bench/compare.go).
-go run ./cmd/benchgate gate -count 3

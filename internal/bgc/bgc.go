@@ -6,9 +6,10 @@
 // remineralisation, and trace gases.
 //
 // Like HAMOCC in ICON (Linardakis et al. 2022), the component has no global
-// solver: it rides on the ocean's transport (Dynamics.AdvectTracer) and is
-// loosely coupled to the atmosphere, which is why the paper can place it
-// either on the GPU (concurrent) or with the ocean on the CPU "for free".
+// solver: it rides on the ocean's transport (one Dynamics.AdvectTracers
+// sweep carries all 19 fields) and is loosely coupled to the atmosphere,
+// which is why the paper can place it either on the GPU (concurrent) or
+// with the ocean on the CPU "for free".
 package bgc
 
 import (

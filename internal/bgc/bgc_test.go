@@ -8,6 +8,7 @@ import (
 	"icoearth/internal/exec"
 	"icoearth/internal/grid"
 	"icoearth/internal/ocean"
+	"icoearth/internal/sched"
 	"icoearth/internal/vertical"
 )
 
@@ -136,9 +137,7 @@ func TestCarbonConservation(t *testing.T) {
 		if err := dyn.Step(dt, f); err != nil {
 			t.Fatal(err)
 		}
-		for tr := 0; tr < NumTracers; tr++ {
-			dyn.AdvectTracer(s.Tracers[tr], dt)
-		}
+		dyn.AdvectTracers(s.Tracers[:], dt)
 		s.EcosystemKernel(dt, &p, sw)
 		s.SinkingKernel(dt, &p)
 		s.AirSeaFluxKernel(dt, pco2, wind, ice)
@@ -270,6 +269,42 @@ func TestModelStepFusedAndConcurrent(t *testing.T) {
 	}
 	if conc.Steps() != 1 || fused.Steps() != 1 {
 		t.Error("step counts")
+	}
+}
+
+// TestModelStepBitIdenticalAcrossWorkers: a full Model.Step — the grouped
+// transport sweep, ecosystem, sinking and air–sea exchange — behind a
+// stirred ocean must leave every tracer byte-equal at pool widths 1, 2
+// and 4.
+func TestModelStepBitIdenticalAcrossWorkers(t *testing.T) {
+	defer sched.SetWorkers(0)
+	run := func(workers int) *State {
+		sched.SetWorkers(workers)
+		oc, dyn, _ := testSetup()
+		sw, pco2, wind, ice := surfaceFields(oc)
+		for ei := range oc.Edges {
+			oc.Ub[ei] = 0.03 * math.Sin(float64(ei))
+		}
+		f := ocean.NewForcing(oc.NOcean())
+		m := NewModel(oc, exec.NewDevice(exec.DeviceSpec{Name: "cpu", MemBW: 450e9, HalfSatBytes: 4e6}))
+		for n := 0; n < 3; n++ {
+			if err := dyn.Step(1800, f); err != nil {
+				t.Fatal(err)
+			}
+			m.Step(1800, dyn, sw, pco2, wind, ice)
+		}
+		return m.State
+	}
+	want := run(1)
+	for _, workers := range []int{2, 4} {
+		got := run(workers)
+		for tr := range want.Tracers {
+			for j, v := range want.Tracers[tr] {
+				if math.Float64bits(got.Tracers[tr][j]) != math.Float64bits(v) {
+					t.Fatalf("workers=%d: tracer %d differs at %d: %v vs %v", workers, tr, j, got.Tracers[tr][j], v)
+				}
+			}
+		}
 	}
 }
 

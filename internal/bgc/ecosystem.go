@@ -3,7 +3,6 @@ package bgc
 import (
 	"math"
 
-	"icoearth/internal/ocean"
 	"icoearth/internal/sched"
 )
 
@@ -185,7 +184,7 @@ func (s *State) SinkingKernel(dt float64, p *Params) {
 			nlev := oc.NLev
 			q, dt, p := s.sinkQ, s.sinkDt, s.sinkP
 			for i := lo; i < hi; i++ {
-				wet := wetLevelsOf(oc, i)
+				wet := oc.WetLevels(i)
 				// Downward upwind transfer, bottom-up to avoid double moves.
 				for k := wet - 1; k >= 1; k-- {
 					dzAbove := oc.Vert.Thickness(k - 1)
@@ -206,19 +205,4 @@ func (s *State) SinkingKernel(dt float64, p *Params) {
 		// kernel), so no carbon leaves the system here.
 	}
 	s.sinkQ, s.sinkP = nil, nil
-}
-
-// wetLevelsOf mirrors ocean.State.wetLevels (unexported there).
-func wetLevelsOf(oc *ocean.State, i int) int {
-	n := 0
-	for k := 0; k < oc.NLev; k++ {
-		if oc.Vert.ZIface[k] >= oc.Depth[i] {
-			break
-		}
-		n++
-	}
-	if n == 0 {
-		n = 1
-	}
-	return n
 }

@@ -65,11 +65,7 @@ func (m *Model) Step(dt float64, dyn *ocean.Dynamics, swDown, pco2Atm, wind, ice
 	m.Dev.Launch(exec.Kernel{
 		Name: "bgc:transport", Bytes: 2 * tb,
 		Reads: []string{"tracers", "massflux"}, Writes: []string{"tracers"},
-		Run: func() {
-			for t := 0; t < NumTracers; t++ {
-				dyn.AdvectTracer(m.State.Tracers[t], dt)
-			}
-		},
+		Run: func() { dyn.AdvectTracers(m.State.Tracers[:], dt) },
 	})
 	m.Dev.Launch(exec.Kernel{
 		Name: "bgc:ecosystem", Bytes: tb,

@@ -15,6 +15,7 @@ package ocean
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"icoearth/internal/grid"
 	"icoearth/internal/vertical"
@@ -64,7 +65,9 @@ type State struct {
 	IceFrac  []float64 // ice concentration 0..1
 
 	// Depth of each column (m); flat-bottom default with coastal shoaling.
+	// Fixed after NewState; wet tabulates the active level count it implies.
 	Depth []float64
+	wet   []int32
 
 	// Mass fluxes from the last step for tracer (BGC) advection:
 	// per ocean edge × level, and vertical per cell × (nlev+1).
@@ -117,6 +120,7 @@ func NewState(g *grid.Grid, mask *grid.Mask, vert *vertical.Ocean) *State {
 			}
 		}
 	}
+	s.tabulateWet()
 	return s
 }
 
@@ -170,7 +174,7 @@ func (s *State) TotalHeat() float64 {
 	nlev := s.NLev
 	for i, c := range s.Cells {
 		a := s.G.CellArea[c]
-		wet := s.wetLevels(i)
+		wet := s.WetLevels(i)
 		for k := 0; k < wet; k++ {
 			h += RhoWater * CpWater * s.Temp[i*nlev+k] * a * s.Vert.Thickness(k)
 		}
@@ -185,7 +189,7 @@ func (s *State) TotalSalt() float64 {
 	nlev := s.NLev
 	for i, c := range s.Cells {
 		a := s.G.CellArea[c]
-		wet := s.wetLevels(i)
+		wet := s.WetLevels(i)
 		for k := 0; k < wet; k++ {
 			m += RhoWater * s.Salt[i*nlev+k] * a * s.Vert.Thickness(k) * 1e-3
 		}
@@ -204,19 +208,16 @@ func (s *State) EtaVolume() float64 {
 	return v
 }
 
-// wetLevels returns the number of active levels of column i.
-func (s *State) wetLevels(i int) int {
-	n := 0
-	for k := 0; k < s.NLev; k++ {
-		if s.Vert.ZIface[k] >= s.Depth[i] {
-			break
-		}
-		n++
+// WetLevels returns the number of active levels of column i (at least 1).
+func (s *State) WetLevels(i int) int { return int(s.wet[i]) }
+
+// tabulateWet fills the wet-level table from Depth.
+func (s *State) tabulateWet() {
+	s.wet = make([]int32, len(s.Cells))
+	for i := range s.wet {
+		n := sort.SearchFloat64s(s.Vert.ZIface[:s.NLev], s.Depth[i])
+		s.wet[i] = int32(max(n, 1))
 	}
-	if n == 0 {
-		n = 1
-	}
-	return n
 }
 
 // CheckFinite returns an error if any prognostic is NaN/Inf. The fields

@@ -29,11 +29,11 @@ func NewForcing(n int) *Forcing {
 
 // Dynamics advances the ocean state; it owns the barotropic solver and the
 // scratch space of the baroclinic step. All kernels run as blocked loops
-// on the shared worker pool: cell/edge sweeps are elementwise-disjoint,
-// level sweeps get one flux stripe per level, and column sweeps (vertical
-// advection, mixing, tracer diffusion) get one tridiagonal stripe per
-// worker slot — every decomposition is worker-count-invariant, so ocean
-// results are bit-identical at any width.
+// on the shared worker pool: cell/edge sweeps are elementwise-disjoint
+// with levels innermost, the transport sweep gathers each cell's edge
+// fluxes into a column nobody else writes, and column sweeps take their
+// scratch per worker slot — every decomposition is worker-count-invariant,
+// so ocean results are bit-identical at any width.
 type Dynamics struct {
 	S  *State
 	Op *BarotropicOp
@@ -57,28 +57,36 @@ type Dynamics struct {
 	// Coriolis at ocean edges; Perot weights for the barotropic mode.
 	fEdge []float64
 
+	// Geometry tables: cell volume per cell×level, and the factorised
+	// vertical-diffusion tridiagonal per wet-depth class (see ensureTri),
+	// valid for the (dt, VertDiffT) bit patterns in triKey.
+	vol              []float64
+	triM, triB, triC []float64
+	triKey           [2]uint64
+
 	// Scratch.
-	rhs                []float64
-	eFlux              []float64 // barotropic volume flux per edge
-	tFlux              []float64 // T flux, one edge stripe per level
-	sFlux              []float64 // S flux, one edge stripe per level
-	w                  []float64 // level divergence, one stripe per worker slot
-	thA, thB, thC, thD []float64 // tridiagonal workspace, one stripe per worker slot
-	pBar               []float64 // baroclinic pressure anomaly / ρ0, per cell×level
+	rhs   []float64
+	eFlux []float64 // barotropic volume flux per edge
+	w     []float64 // level divergence, one stripe per worker slot
+	pad   []float64 // all-zero columns, trGroup per worker slot: unused solveColumns lanes
+	trOut []float64 // transport-sweep output, trGroup fields
+	pBar  []float64 // baroclinic pressure anomaly / ρ0, per cell×level
 
 	// Pre-bound worker-pool bodies; per-call parameters pass through the
 	// fields below so steady-state dispatch is allocation-free.
 	parPBar, parMomentum   func(lo, hi int)
 	parRhsEdge, parRhsCell func(lo, hi int)
 	parUbCorr              func(lo, hi int)
-	parAdvLevel            func(lo, hi int)
+	parVolFlux             func(lo, hi int)
 	parAdvVert, parMix     func(slot, lo, hi int)
 	parConv                func(lo, hi int)
-	parTrLevel             func(lo, hi int)
-	parTrVert              func(slot, lo, hi int)
+	parTr                  func(slot, lo, hi int)
+	parTrCopy              func(lo, hi int)
 	stepDt                 float64
 	stepF                  *Forcing
-	trQ                    []float64
+	trQ                    [][]float64  // the sweep's current tracer group
+	trVert                 bool         // sweep includes the vertical part
+	qs                     [2][]float64 // argument vector of the one- and two-field sweeps
 }
 
 // NewDynamics builds the ocean dynamics for timestep dt (the barotropic
@@ -95,9 +103,14 @@ func NewDynamics(s *State, dt float64) *Dynamics {
 	n, ne, nlev := s.NOcean(), s.NEdgesOcean(), s.NLev
 	d.rhs = make([]float64, n)
 	d.eFlux = make([]float64, ne)
-	d.tFlux = make([]float64, ne*nlev)
-	d.sFlux = make([]float64, ne*nlev)
 	d.pBar = make([]float64, n*nlev)
+	d.trOut = make([]float64, trGroup*n*nlev)
+	d.vol = make([]float64, n*nlev)
+	for i, c := range s.Cells {
+		for k := 0; k < nlev; k++ {
+			d.vol[i*nlev+k] = s.G.CellArea[c] * s.Vert.Thickness(k)
+		}
+	}
 	d.fEdge = make([]float64, ne)
 	for ei, e := range s.Edges {
 		lat, _ := s.G.EdgeCenter[e].LatLon()
@@ -114,11 +127,8 @@ func (d *Dynamics) ensureColumnScratch() {
 	if need := sched.Slots() * (nlev + 1); len(d.w) < need {
 		d.w = make([]float64, need)
 	}
-	if need := sched.Slots() * nlev; len(d.thA) < need {
-		d.thA = make([]float64, need)
-		d.thB = make([]float64, need)
-		d.thC = make([]float64, need)
-		d.thD = make([]float64, need)
+	if need := sched.Slots() * trGroup * nlev; len(d.pad) < need {
+		d.pad = make([]float64, need)
 	}
 }
 
@@ -181,13 +191,15 @@ func (d *Dynamics) barotropic(dt float64, f *Forcing) error {
 // advectTS transports temperature and salinity with donor-cell upwind
 // horizontal fluxes of the total (baroclinic+barotropic) velocity, storing
 // the mass fluxes for the BGC tracers, and upwind vertical advection with
-// the continuity-implied vertical velocity. Levels run in parallel with
-// per-level flux stripes (the within-level scatter keeps its serial
-// order); the vertical part runs column-parallel with per-slot scratch.
+// the continuity-implied vertical velocity. Three passes: the edge volume
+// fluxes (edge-parallel), the horizontal half of the transport sweep for
+// T and S, then continuity and vertical advection column by column.
 func (d *Dynamics) advectTS(dt float64) {
 	d.ensureColumnScratch()
 	d.stepDt = dt
-	sched.Run(d.S.NLev, d.parAdvLevel)
+	sched.Run(len(d.S.Edges), d.parVolFlux)
+	d.qs[0], d.qs[1] = d.S.Temp, d.S.Salt
+	d.sweepTracers(d.qs[:], dt, false)
 	sched.RunIndexed(len(d.S.Cells), d.parAdvVert)
 }
 
@@ -195,6 +207,7 @@ func (d *Dynamics) advectTS(dt float64) {
 // surface heat and freshwater fluxes as top boundary conditions.
 func (d *Dynamics) verticalMixing(dt float64, f *Forcing) {
 	d.ensureColumnScratch()
+	d.ensureTri(dt)
 	d.stepDt, d.stepF = dt, f
 	sched.RunIndexed(len(d.S.Cells), d.parMix)
 	d.stepF = nil
@@ -203,56 +216,6 @@ func (d *Dynamics) verticalMixing(dt float64, f *Forcing) {
 // convectiveAdjust removes static instability by mixing adjacent levels.
 func (d *Dynamics) convectiveAdjust() {
 	sched.Run(len(d.S.Cells), d.parConv)
-}
-
-// advectColumnUpwind applies upwind vertical advection of q in column i
-// using the stored vertical volume fluxes.
-func (d *Dynamics) advectColumnUpwind(q []float64, i, wet int, area, dt float64) {
-	s := d.S
-	nlev := s.NLev
-	var fAbove float64
-	for k := 0; k < wet; k++ {
-		var fBelow float64
-		if k < wet-1 {
-			mf := s.MassFluxVert[i*(nlev+1)+k+1]
-			var qUp float64
-			if mf >= 0 {
-				qUp = q[i*nlev+k+1]
-			} else {
-				qUp = q[i*nlev+k]
-			}
-			fBelow = mf * qUp
-		}
-		vol := area * s.Vert.Thickness(k)
-		q[i*nlev+k] += dt * (fBelow - fAbove) / vol
-		fAbove = fBelow
-	}
-}
-
-// mixColumn solves the implicit vertical-diffusion tridiagonal for column
-// i of q with surface source sfcSrc, using the caller's slot stripes.
-func (d *Dynamics) mixColumn(q []float64, i, wet int, sfcSrc, dt float64, thA, thB, thC, thD []float64) {
-	s := d.S
-	nlev := s.NLev
-	for k := 0; k < wet; k++ {
-		dz := s.Vert.Thickness(k)
-		var up, dn float64
-		if k > 0 {
-			up = d.VertDiffT * dt / (dz * (s.Vert.ZFull[k] - s.Vert.ZFull[k-1]))
-		}
-		if k < wet-1 {
-			dn = d.VertDiffT * dt / (dz * (s.Vert.ZFull[k+1] - s.Vert.ZFull[k]))
-		}
-		thA[k] = -up
-		thB[k] = 1 + up + dn
-		thC[k] = -dn
-		thD[k] = q[i*nlev+k]
-	}
-	thD[0] += sfcSrc
-	solveTri(thA[:wet], thB[:wet], thC[:wet], thD[:wet])
-	for k := 0; k < wet; k++ {
-		q[i*nlev+k] = thD[k]
-	}
 }
 
 // bindKernels builds the worker-pool loop bodies once.
@@ -279,7 +242,7 @@ func (d *Dynamics) bindKernels() {
 		for ei := lo; ei < hi; ei++ {
 			e := s.Edges[ei]
 			c0, c1 := s.EdgeCells[ei][0], s.EdgeCells[ei][1]
-			wet := minInt(s.wetLevels(c0), s.wetLevels(c1))
+			wet := min(s.WetLevels(c0), s.WetLevels(c1))
 			for k := 0; k < wet; k++ {
 				gradP := (d.pBar[c1*nlev+k] - d.pBar[c0*nlev+k]) / g.DualLength[e]
 				u := s.U[ei*nlev+k]
@@ -317,7 +280,7 @@ func (d *Dynamics) bindKernels() {
 		for ei := lo; ei < hi; ei++ {
 			e := s.Edges[ei]
 			c0, c1 := s.EdgeCells[ei][0], s.EdgeCells[ei][1]
-			wet := minInt(s.wetLevels(c0), s.wetLevels(c1))
+			wet := min(s.WetLevels(c0), s.WetLevels(c1))
 			h := 0.5 * (s.Depth[c0] + s.Depth[c1])
 			var transport float64
 			for k := 0; k < wet; k++ {
@@ -364,43 +327,21 @@ func (d *Dynamics) bindKernels() {
 		}
 	}
 
-	d.parAdvLevel = func(lo, hi int) {
+	// Volume flux per edge×level (m³/s), zero below the shallower bottom.
+	d.parVolFlux = func(lo, hi int) {
 		s := d.S
 		g := s.G
 		nlev := s.NLev
-		ne := len(s.Edges)
-		dt := d.stepDt
-		for k := lo; k < hi; k++ {
-			tf := d.tFlux[k*ne : (k+1)*ne]
-			sf := d.sFlux[k*ne : (k+1)*ne]
-			// Horizontal fluxes at this level.
-			for ei, e := range s.Edges {
-				c0, c1 := s.EdgeCells[ei][0], s.EdgeCells[ei][1]
-				if s.Vert.ZIface[k] >= math.Min(s.Depth[c0], s.Depth[c1]) {
-					tf[ei], sf[ei] = 0, 0
-					s.MassFluxEdge[ei*nlev+k] = 0
-					continue
+		for ei := lo; ei < hi; ei++ {
+			c0, c1 := s.EdgeCells[ei][0], s.EdgeCells[ei][1]
+			bottom := math.Min(s.Depth[c0], s.Depth[c1])
+			length := g.EdgeLength[s.Edges[ei]]
+			for k := 0; k < nlev; k++ {
+				var vol float64
+				if s.Vert.ZIface[k] < bottom {
+					vol = (s.U[ei*nlev+k] + s.Ub[ei]) * length * s.Vert.Thickness(k)
 				}
-				u := s.U[ei*nlev+k] + s.Ub[ei]
-				vol := u * g.EdgeLength[e] * s.Vert.Thickness(k) // m³/s
 				s.MassFluxEdge[ei*nlev+k] = vol
-				var tUp, sUp float64
-				if vol >= 0 {
-					tUp, sUp = s.Temp[c0*nlev+k], s.Salt[c0*nlev+k]
-				} else {
-					tUp, sUp = s.Temp[c1*nlev+k], s.Salt[c1*nlev+k]
-				}
-				tf[ei] = vol * tUp
-				sf[ei] = vol * sUp
-			}
-			for ei := range s.Edges {
-				c0, c1 := s.EdgeCells[ei][0], s.EdgeCells[ei][1]
-				volCell0 := g.CellArea[s.Cells[c0]] * s.Vert.Thickness(k)
-				volCell1 := g.CellArea[s.Cells[c1]] * s.Vert.Thickness(k)
-				s.Temp[c0*nlev+k] -= dt * tf[ei] / volCell0
-				s.Temp[c1*nlev+k] += dt * tf[ei] / volCell1
-				s.Salt[c0*nlev+k] -= dt * sf[ei] / volCell0
-				s.Salt[c1*nlev+k] += dt * sf[ei] / volCell1
 			}
 		}
 	}
@@ -415,8 +356,7 @@ func (d *Dynamics) bindKernels() {
 		w := d.w[slot*(nlev+1) : (slot+1)*(nlev+1)]
 		for i := lo; i < hi; i++ {
 			c := s.Cells[i]
-			wet := s.wetLevels(i)
-			area := g.CellArea[c]
+			wet := s.WetLevels(i)
 			// Volume divergence per level.
 			for k := 0; k < nlev; k++ {
 				w[k] = 0
@@ -444,32 +384,32 @@ func (d *Dynamics) bindKernels() {
 			}
 			s.MassFluxVert[i*(nlev+1)] = 0
 			// Upwind vertical advection of T and S.
-			d.advectColumnUpwind(s.Temp, i, wet, area, dt)
-			d.advectColumnUpwind(s.Salt, i, wet, area, dt)
+			mfv := s.MassFluxVert[i*(nlev+1) : (i+1)*(nlev+1)]
+			vol := d.vol[i*nlev : (i+1)*nlev]
+			advectColumnUpwind(s.Temp[i*nlev:(i+1)*nlev], mfv, vol, wet, dt)
+			advectColumnUpwind(s.Salt[i*nlev:(i+1)*nlev], mfv, vol, wet, dt)
 		}
 	}
 
+	// Surface sources enter the top level, then T and S share one solve.
 	d.parMix = func(slot, lo, hi int) {
 		s := d.S
 		nlev := s.NLev
 		dt, f := d.stepDt, d.stepF
-		thA := d.thA[slot*nlev : (slot+1)*nlev]
-		thB := d.thB[slot*nlev : (slot+1)*nlev]
-		thC := d.thC[slot*nlev : (slot+1)*nlev]
-		thD := d.thD[slot*nlev : (slot+1)*nlev]
+		dz0 := s.Vert.Thickness(0)
+		pad := d.pad[slot*trGroup*nlev:]
+		cols := [trGroup][]float64{2: pad[:nlev], 3: pad[nlev : 2*nlev]}
 		for i := lo; i < hi; i++ {
-			wet := s.wetLevels(i)
+			temp, salt := s.Temp[i*nlev:(i+1)*nlev], s.Salt[i*nlev:(i+1)*nlev]
+			temp[0] += dt * f.HeatFlux[i] / (RhoWater * CpWater * dz0)
+			wet := s.WetLevels(i)
 			if wet < 2 {
-				// Single-layer column: apply forcing directly.
-				dz := s.Vert.Thickness(0)
-				s.Temp[i*nlev] += dt * f.HeatFlux[i] / (RhoWater * CpWater * dz)
 				continue
 			}
-			dz0 := s.Vert.Thickness(0)
-			d.mixColumn(s.Temp, i, wet, dt*f.HeatFlux[i]/(RhoWater*CpWater*dz0), dt, thA, thB, thC, thD)
 			// Freshwater flux dilutes surface salinity: dS = −S·Fw/(ρ·dz).
-			sSfc := s.Salt[i*nlev]
-			d.mixColumn(s.Salt, i, wet, -dt*sSfc*f.Freshwater[i]/(RhoWater*dz0), dt, thA, thB, thC, thD)
+			salt[0] += -dt * salt[0] * f.Freshwater[i] / (RhoWater * dz0)
+			cols[0], cols[1] = temp, salt
+			d.solveColumns(wet, &cols)
 		}
 	}
 
@@ -477,7 +417,7 @@ func (d *Dynamics) bindKernels() {
 		s := d.S
 		nlev := s.NLev
 		for i := lo; i < hi; i++ {
-			wet := s.wetLevels(i)
+			wet := s.WetLevels(i)
 			for pass := 0; pass < 2; pass++ {
 				for k := 0; k < wet-1; k++ {
 					if s.Density(i, k) > s.Density(i, k+1)+1e-12 {
@@ -496,30 +436,9 @@ func (d *Dynamics) bindKernels() {
 	d.bindTracer()
 }
 
-// solveTri is the Thomas algorithm (in place, d overwritten).
-func solveTri(a, b, c, d []float64) {
-	n := len(d)
-	for i := 1; i < n; i++ {
-		m := a[i] / b[i-1]
-		b[i] -= m * c[i-1]
-		d[i] -= m * d[i-1]
-	}
-	d[n-1] /= b[n-1]
-	for i := n - 2; i >= 0; i-- {
-		d[i] = (d[i] - c[i]*d[i+1]) / b[i]
-	}
-}
-
 // eastComponentOcean projects local east onto the normal of edge e.
 func eastComponentOcean(g *grid.Grid, e int) float64 {
 	p := g.EdgeCenter[e]
 	east := sphere.TangentEast(p)
 	return east.Dot(g.EdgeNormal[e])
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

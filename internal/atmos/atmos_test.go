@@ -353,8 +353,13 @@ func TestModelKernelLaunches(t *testing.T) {
 	if m.Steps() != 1 {
 		t.Errorf("steps = %d", m.Steps())
 	}
-	if m.BytesPerStep() <= 0 {
-		t.Error("BytesPerStep = 0")
+	if dev.BytesMoved() != m.BytesPerStep() {
+		t.Errorf("device charged %v bytes for the step, BytesPerStep says %v", dev.BytesMoved(), m.BytesPerStep())
+	}
+	// The figure the performance model scales: 39 cell fields and 19 edge
+	// fields per step (Held–Suarez physics, no radiation launch).
+	if want := float64((39*g.NCells + 19*g.NEdges) * vert.NLev * 8); m.BytesPerStep() != want {
+		t.Errorf("BytesPerStep = %v, want %v", m.BytesPerStep(), want)
 	}
 }
 
@@ -382,7 +387,7 @@ func TestInertialCircleRotationDirection(t *testing.T) {
 	dy.KineticEnergyKernel()
 	dy.TangentialKernel()
 	tend := make([]float64, len(s.Vn))
-	dy.vnTendencies(s.Exner, tend)
+	dy.vnTendencies(s.Exner, tend, false)
 	// Project the tendency onto local north at edges inside the band and
 	// away from its boundary; Coriolis should push the flow southward
 	// (negative northward tendency) in the NH.

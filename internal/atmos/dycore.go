@@ -54,8 +54,11 @@ type Dycore struct {
 
 	// Scratch.
 	thFluxEdge []float64 // ρθ flux at edges
-	rhoQ       []float64 // tracer transport workspace (lazily allocated)
-	qFluxEdge  []float64
+	rhoQ       []float64 // tracer transport workspace
+	// edgeShared is one edge×level workspace with two tenants that never
+	// overlap: the advective vn tendency (ζ+f)·vt − ∂n KE from predictor to
+	// corrector, then the tracer flux inside Transport.
+	edgeShared []float64
 	ke         []float64 // kinetic energy at cells
 	// Perot cell vectors, cell×level, one slice per component (the
 	// generated reconstruction kernels write and read these directly).
@@ -79,6 +82,7 @@ type Dycore struct {
 	parTrVert, parTrMix         func(lo, hi int)
 	parDt                       float64
 	tendExner, tendOut          []float64
+	tendReuse                   bool
 	trQ, trRhoOld               []float64
 }
 
@@ -96,6 +100,8 @@ func NewDycore(s *State) *Dycore {
 		MassFluxEdge:   make([]float64, g.NEdges*nlev),
 		MassFluxVert:   make([]float64, g.NCells*(nlev+1)),
 		thFluxEdge:     make([]float64, g.NEdges*nlev),
+		rhoQ:           make([]float64, g.NCells*nlev),
+		edgeShared:     make([]float64, g.NEdges*nlev),
 		ke:             make([]float64, g.NCells*nlev),
 		ucx:            make([]float64, g.NCells*nlev),
 		ucy:            make([]float64, g.NCells*nlev),
@@ -168,9 +174,12 @@ func (d *Dycore) TangentialKernel() {
 // out: (ζ+f)·vt − ∂n KE − Cpd·θ_e·∂n Π, using the supplied Exner field.
 // Levels are independent, so the level loop runs on the pool with one
 // vorticity stripe per level; within a level the edge-scatter order is
-// the serial one, keeping results worker-count-invariant.
-func (d *Dycore) vnTendencies(exner []float64, out []float64) {
-	d.tendExner, d.tendOut = exner, out
+// the serial one, keeping results worker-count-invariant. The advective
+// part (ζ+f)·vt − ∂n KE is left in d.edgeShared; with reuse set it is read
+// from there instead of recomputed, which is exact as long as vn, ke and
+// vt are those of the storing call (predictor → corrector).
+func (d *Dycore) vnTendencies(exner []float64, out []float64, reuse bool) {
+	d.tendExner, d.tendOut, d.tendReuse = exner, out, reuse
 	sched.Run(d.S.NLev, d.parTend)
 	d.tendExner, d.tendOut = nil, nil
 }
@@ -201,7 +210,7 @@ func (d *Dycore) Step(dt float64) {
 
 // StagePredictor computes vn* = vn + Δt·tend(Π at time n) into d.vnPred.
 func (d *Dycore) StagePredictor(dt float64) {
-	d.vnTendencies(d.S.Exner, d.vnPred)
+	d.vnTendencies(d.S.Exner, d.vnPred, false)
 	d.parDt = dt
 	sched.Run(len(d.vnPred), d.parPred)
 }
@@ -223,20 +232,20 @@ func (d *Dycore) StageVertical(dt float64) {
 	d.verticalSolve(dt)
 }
 
-// StageCorrector recomputes vn with the time-averaged Exner gradient.
+// StageCorrector recomputes vn with the time-averaged Exner gradient and
+// the predictor's advective tendency, and refreshes the diagnostics: ρ and
+// ρθ are final once the vertical solve is done.
 func (d *Dycore) StageCorrector(dt float64) {
 	sched.Run(len(d.S.RhoTheta), d.parCorrExner)
-	d.vnTendencies(d.exnerNew, d.vnPred)
+	d.vnTendencies(d.exnerNew, d.vnPred, true)
 	d.parDt = dt
 	sched.Run(len(d.S.Vn), d.parCorrVn)
 }
 
-// StageDamping applies divergence damping, the top sponge, and refreshes
-// diagnostics.
+// StageDamping applies divergence damping and the top sponge.
 func (d *Dycore) StageDamping(dt float64) {
 	d.divergenceDamping(dt)
 	d.sponge(dt)
-	d.S.UpdateDiagnostics()
 }
 
 // sponge applies Rayleigh damping to w in the top levels.
@@ -265,29 +274,35 @@ func (d *Dycore) bindKernels() {
 		s := d.S
 		g := s.G
 		nlev := s.NLev
-		exner, out := d.tendExner, d.tendOut
+		exner, out, reuse := d.tendExner, d.tendOut, d.tendReuse
 		for k := lo; k < hi; k++ {
 			// Vorticity of this level, in its own stripe.
 			z := d.zeta[k*g.NVerts : (k+1)*g.NVerts]
-			for v := range z {
-				z[v] = 0
-			}
-			for e, vv := range g.EdgeVerts {
-				contrib := s.Vn[e*nlev+k] * g.DualLength[e]
-				z[vv[0]] -= contrib
-				z[vv[1]] += contrib
-			}
-			for v := range z {
-				z[v] /= g.DualArea[v]
+			adv := d.edgeShared[k*g.NEdges : (k+1)*g.NEdges] // level-major: unit stride here
+			if !reuse {
+				for v := range z {
+					z[v] = 0
+				}
+				for e, vv := range g.EdgeVerts {
+					contrib := s.Vn[e*nlev+k] * g.DualLength[e]
+					z[vv[0]] -= contrib
+					z[vv[1]] += contrib
+				}
+				for v := range z {
+					z[v] /= g.DualArea[v]
+				}
 			}
 			for e := 0; e < g.NEdges; e++ {
 				c0, c1 := g.EdgeCells[e][0], g.EdgeCells[e][1]
 				i0, i1 := c0*nlev+k, c1*nlev+k
 				gradPi := (exner[i1] - exner[i0]) / g.DualLength[e]
-				gradKE := (d.ke[i1] - d.ke[i0]) / g.DualLength[e]
 				thetaE := 0.5 * (s.RhoTheta[i0]/s.Rho[i0] + s.RhoTheta[i1]/s.Rho[i1])
-				zetaE := 0.5 * (z[g.EdgeVerts[e][0]] + z[g.EdgeVerts[e][1]])
-				out[e*nlev+k] = (zetaE+d.fEdge[e])*d.vt[e*nlev+k] - gradKE - Cpd*thetaE*gradPi
+				if !reuse {
+					gradKE := (d.ke[i1] - d.ke[i0]) / g.DualLength[e]
+					zetaE := 0.5 * (z[g.EdgeVerts[e][0]] + z[g.EdgeVerts[e][1]])
+					adv[e] = (zetaE+d.fEdge[e])*d.vt[e*nlev+k] - gradKE
+				}
+				out[e*nlev+k] = adv[e] - Cpd*thetaE*gradPi
 			}
 		}
 	}
@@ -369,7 +384,10 @@ func (d *Dycore) bindKernels() {
 	d.parCorrExner = func(lo, hi int) {
 		s := d.S
 		for i := lo; i < hi; i++ {
-			d.exnerNew[i] = 0.5 * (s.Exner[i] + ExnerFromRhoTheta(s.RhoTheta[i]))
+			exn := ExnerFromRhoTheta(s.RhoTheta[i])
+			d.exnerNew[i] = 0.5 * (s.Exner[i] + exn)
+			s.Exner[i] = exn
+			s.Theta[i] = s.RhoTheta[i] / s.Rho[i]
 		}
 	}
 
@@ -410,6 +428,7 @@ func (d *Dycore) bindKernels() {
 			// Interface quantities (1..nlev-1): θᵢ, ψ=(ρθ)ᵢ, ρᵢ.
 			// γ = dΠ/d(ρθ) = (Rd/Cvd)·Π/(ρθ) at full levels.
 			// Assemble tridiagonal for w⁺[1..nlev-1].
+			exner1 := ExnerFromRhoTheta(s.RhoTheta[base])
 			for k := 1; k < nlev; k++ {
 				i0 := base + k - 1 // level above interface
 				i1 := base + k     // level below
@@ -417,8 +436,8 @@ func (d *Dycore) bindKernels() {
 				psiUp := 0.5 * (s.RhoTheta[i0] + s.RhoTheta[i1]) // ψ at this interface
 				dzi := vert.IfaceGap(k)
 				beta := dt * Cpd * thI / dzi * wgt
-				exner0 := ExnerFromRhoTheta(s.RhoTheta[i0])
-				exner1 := ExnerFromRhoTheta(s.RhoTheta[i1])
+				exner0 := exner1 // carried down: level k−1 was the lower side of interface k−1
+				exner1 = ExnerFromRhoTheta(s.RhoTheta[i1])
 				gam0 := (Rd / Cvd) * exner0 / s.RhoTheta[i0]
 				gam1 := (Rd / Cvd) * exner1 / s.RhoTheta[i1]
 				dz0 := vert.LayerThickness(k - 1)

@@ -10,14 +10,13 @@ import (
 	"icoearth/internal/sphere"
 )
 
-// TestDycoreHandGenBitIdentical (the name is kept for test-ID continuity;
-// the reference is now the interpreter): the dycore's hot kernels, run
+// TestDycoreInterpreterBitIdentical: the dycore's hot kernels, run
 // through the Dycore's own gen.Bind* calls on live storage at workers
 // {1,4}, must reproduce bit for bit (%x) what sdfg.Interpret computes from
 // the DSL source over the same inputs. internal/gen's parity test proves
 // generated == interpreter per kernel; this one proves the binding — a
 // swapped Bind* argument or a wrong px1…pz3 split fails here.
-func TestDycoreHandGenBitIdentical(t *testing.T) {
+func TestDycoreInterpreterBitIdentical(t *testing.T) {
 	defer sched.SetWorkers(0)
 	g, vert := testGrid()
 	s := NewState(g, vert)

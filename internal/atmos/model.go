@@ -37,84 +37,70 @@ func NewModel(g *grid.Grid, vert *vertical.Atmosphere, dev *exec.Device) *Model 
 	}
 }
 
-// cellBytes returns the size of one full-level cell field in bytes.
-func (m *Model) cellBytes() float64 {
-	return float64(m.State.G.NCells * m.State.NLev * 8)
+// footprint is the declared access set of one launch: modelled DRAM
+// traffic in whole cell×level and edge×level fields, and the fields read
+// and written.
+type footprint struct {
+	name          string
+	cells, edges  float64
+	reads, writes []string
 }
 
-func (m *Model) edgeBytes() float64 {
-	return float64(m.State.G.NEdges * m.State.NLev * 8)
+// launches lists the kernels of one step in launch order. Step charges
+// these figures and BytesPerStep sums them, so the two cannot disagree.
+var launches = []footprint{
+	{"dycore:diag", 4, 0, []string{"rho", "rhotheta"}, []string{"exner", "theta"}},
+	{"dycore:ekinh", 1, 1, []string{"vn"}, []string{"ke"}},
+	{"dycore:tangential", 1, 2, []string{"vn"}, []string{"vt"}},
+	{"dycore:vn_pred", 3, 3, []string{"vn", "exner", "ke", "vt", "rho", "rhotheta"}, []string{"vn_pred", "vn_adv"}},
+	{"dycore:hflux", 4, 4, []string{"vn", "vn_pred", "rho", "rhotheta"}, []string{"rho", "rhotheta", "massflux"}},
+	{"dycore:vsolve", 6, 0, []string{"rho", "rhotheta", "w"}, []string{"w", "rho", "rhotheta", "massflux_v"}},
+	{"dycore:vn_corr", 5, 3, []string{"vn", "exner", "rho", "rhotheta", "vn_adv"}, []string{"vn", "exner", "theta"}},
+	{"dycore:damp", 1, 2, []string{"vn", "w"}, []string{"vn", "w"}},
+	{"transport", 2 * NumTracers, NumTracers, []string{"massflux", "massflux_v", "rho", "tracers"}, []string{"tracers"}},
+	{"radiation", 5, 0, []string{"rho", "rhotheta", "exner", "tracers"}, []string{"rhotheta", "radflux"}},
+	{"physics", 6, 0, []string{"rho", "rhotheta", "exner", "tracers", "vn"}, []string{"rhotheta", "tracers", "vn", "sfcflux"}},
+}
+
+// bytes returns the launch's modelled DRAM traffic on this model's grid.
+func (m *Model) bytes(f footprint) float64 {
+	s := m.State
+	return (f.cells*float64(s.G.NCells) + f.edges*float64(s.G.NEdges)) * float64(s.NLev*8)
+}
+
+// launch submits run to the device under the named entry of launches.
+func (m *Model) launch(name string, run func()) {
+	for _, f := range launches {
+		if f.name == name {
+			m.Dev.Launch(exec.Kernel{Name: name, Bytes: m.bytes(f), Reads: f.reads, Writes: f.writes, Run: run})
+			return
+		}
+	}
+	panic("atmos: no footprint declared for launch " + name)
 }
 
 // Step advances the atmosphere by dt, launching the dycore stages, tracer
 // transport and physics as device kernels, and returns the surface fluxes
-// for the coupler.
+// for the coupler (valid until the next Step).
 func (m *Model) Step(dt float64, bc SurfaceBC) *SurfaceFluxes {
-	cb, eb := m.cellBytes(), m.edgeBytes()
 	d := m.Dyn
 	s := m.State
 	copy(m.rhoOld, s.Rho)
 
-	m.Dev.Launch(exec.Kernel{
-		Name: "dycore:diag", Bytes: 4 * cb,
-		Reads: []string{"rho", "rhotheta"}, Writes: []string{"exner", "theta"},
-		Run: func() { s.UpdateDiagnostics() },
-	})
-	m.Dev.Launch(exec.Kernel{
-		Name: "dycore:ekinh", Bytes: eb + cb,
-		Reads: []string{"vn"}, Writes: []string{"ke"},
-		Run: func() { d.KineticEnergyKernel() },
-	})
-	m.Dev.Launch(exec.Kernel{
-		Name: "dycore:tangential", Bytes: 2*eb + cb,
-		Reads: []string{"vn"}, Writes: []string{"vt"},
-		Run: func() { d.TangentialKernel() },
-	})
-	m.Dev.Launch(exec.Kernel{
-		Name: "dycore:vn_pred", Bytes: 3*eb + 3*cb,
-		Reads: []string{"vn", "exner", "ke", "vt", "rho", "rhotheta"}, Writes: []string{"vn_pred"},
-		Run: func() { d.StagePredictor(dt) },
-	})
-	m.Dev.Launch(exec.Kernel{
-		Name: "dycore:hflux", Bytes: 4*eb + 4*cb,
-		Reads: []string{"vn", "vn_pred", "rho", "rhotheta"}, Writes: []string{"rho", "rhotheta", "massflux"},
-		Run: func() { d.StageHorizontalFluxes(dt) },
-	})
-	m.Dev.Launch(exec.Kernel{
-		Name: "dycore:vsolve", Bytes: 6 * cb,
-		Reads: []string{"rho", "rhotheta", "w"}, Writes: []string{"w", "rho", "rhotheta", "massflux_v"},
-		Run: func() { d.StageVertical(dt) },
-	})
-	m.Dev.Launch(exec.Kernel{
-		Name: "dycore:vn_corr", Bytes: 3*eb + 3*cb,
-		Reads: []string{"vn", "exner", "rhotheta", "ke", "vt"}, Writes: []string{"vn"},
-		Run: func() { d.StageCorrector(dt) },
-	})
-	m.Dev.Launch(exec.Kernel{
-		Name: "dycore:damp", Bytes: 2*eb + 3*cb,
-		Reads: []string{"vn", "w"}, Writes: []string{"vn", "w", "exner", "theta"},
-		Run: func() { d.StageDamping(dt) },
-	})
-	m.Dev.Launch(exec.Kernel{
-		Name: "transport", Bytes: float64(NumTracers) * (2*cb + eb),
-		Reads: []string{"massflux", "massflux_v", "rho", "tracers"}, Writes: []string{"tracers"},
-		Run: func() { d.Transport(dt, m.rhoOld) },
-	})
-
+	m.launch("dycore:diag", func() { s.UpdateDiagnostics() })
+	m.launch("dycore:ekinh", func() { d.KineticEnergyKernel() })
+	m.launch("dycore:tangential", func() { d.TangentialKernel() })
+	m.launch("dycore:vn_pred", func() { d.StagePredictor(dt) })
+	m.launch("dycore:hflux", func() { d.StageHorizontalFluxes(dt) })
+	m.launch("dycore:vsolve", func() { d.StageVertical(dt) })
+	m.launch("dycore:vn_corr", func() { d.StageCorrector(dt) })
+	m.launch("dycore:damp", func() { d.StageDamping(dt) })
+	m.launch("transport", func() { d.Transport(dt, m.rhoOld) })
 	if m.Rad != nil {
-		m.Dev.Launch(exec.Kernel{
-			Name: "radiation", Bytes: 5 * cb,
-			Reads: []string{"rho", "rhotheta", "exner", "tracers"}, Writes: []string{"rhotheta", "radflux"},
-			Run: func() { m.Rad.Step(m.State, dt, bc) },
-		})
+		m.launch("radiation", func() { m.Rad.Step(m.State, dt, bc) })
 	}
-
 	var fluxes *SurfaceFluxes
-	m.Dev.Launch(exec.Kernel{
-		Name: "physics", Bytes: 6 * cb,
-		Reads: []string{"rho", "rhotheta", "exner", "tracers", "vn"}, Writes: []string{"rhotheta", "tracers", "vn", "sfcflux"},
-		Run: func() { fluxes = m.Phys.Step(dt, bc) },
-	})
+	m.launch("physics", func() { fluxes = m.Phys.Step(dt, bc) })
 	m.steps++
 	return fluxes
 }
@@ -125,7 +111,11 @@ func (m *Model) Steps() int { return m.steps }
 // BytesPerStep returns the modelled DRAM traffic of one full atmosphere
 // step, the quantity the performance model scales to paper-size grids.
 func (m *Model) BytesPerStep() float64 {
-	cb, eb := m.cellBytes(), m.edgeBytes()
-	return (4 * cb) + (eb + cb) + (2*eb + cb) + (3*eb + 3*cb) + (4*eb + 4*cb) + (6 * cb) + (3*eb + 3*cb) + (2*eb + 3*cb) +
-		float64(NumTracers)*(2*cb+eb) + (6 * cb)
+	var sum float64
+	for _, f := range launches {
+		if f.name != "radiation" || m.Rad != nil {
+			sum += m.bytes(f)
+		}
+	}
+	return sum
 }

@@ -33,9 +33,14 @@ func DefaultHeldSuarez() HeldSuarez {
 // TEq returns the Held–Suarez equilibrium temperature at latitude lat and
 // pressure p.
 func (h HeldSuarez) TEq(lat, p float64) float64 {
-	sig := p / P0
 	cos2 := math.Cos(lat) * math.Cos(lat)
-	sin2 := 1 - cos2
+	return h.teq(cos2, 1-cos2, p)
+}
+
+// teq is TEq on cos²(lat) and sin²(lat) = 1 − cos²(lat), which the column
+// sweep takes from a per-cell table.
+func (h HeldSuarez) teq(cos2, sin2, p float64) float64 {
+	sig := p / P0
 	t := (315 - h.DeltaT*sin2 - h.DeltaZ*math.Log(sig)*cos2) * math.Pow(sig, Rd/Cpd)
 	if t < 200 {
 		t = 200
@@ -98,7 +103,13 @@ type Physics struct {
 	parSurface func(lo, hi int)
 	phDt       float64
 	phBC       SurfaceBC
-	phFl       *SurfaceFluxes
+	fl         *SurfaceFluxes // returned by Step, reused every step
+
+	// cos² and cos⁴ of the cell latitude, tabulated at bind time.
+	cos2, cos4 []float64
+	// pres is Pressure(Exner) per cell-level: the column sweep fills it,
+	// the friction and surface sweeps read it (physics never writes Exner).
+	pres []float64
 }
 
 // NewPhysics returns physics with standard parameters.
@@ -128,48 +139,64 @@ func SatSpecificHumidity(T, p float64) float64 {
 
 // Step applies one physics timestep: Held–Suarez relaxation and friction,
 // saturation adjustment with autoconversion, and bulk surface fluxes using
-// the boundary condition bc. The returned fluxes are fresh each call.
-// The three sweeps (columns, edges, surface cells) write disjoint indices
-// and run on the worker pool.
+// the boundary condition bc. The returned fluxes are valid until the next
+// Step. The three sweeps (columns, edges, surface cells) write disjoint
+// indices and run on the worker pool.
 func (p *Physics) Step(dt float64, bc SurfaceBC) *SurfaceFluxes {
-	s := p.S
-	g := s.G
-	fl := NewSurfaceFluxes(g.NCells)
+	g := p.S.G
 	if p.parColumns == nil {
 		p.bindKernels()
 	}
-	p.phDt, p.phBC, p.phFl = dt, bc, fl
+	fl := p.fl
+	for _, f := range [][]float64{fl.SensibleHeat, fl.Evaporation, fl.Precip, fl.WindStress, fl.WindSpeed} {
+		clear(f)
+	}
+	p.phDt, p.phBC = dt, bc
 	sched.Run(g.NCells, p.parColumns)
 	sched.Run(g.NEdges, p.parFric)
 	sched.Run(g.NCells, p.parSurface)
-	p.phBC, p.phFl = SurfaceBC{}, nil
+	p.phBC = SurfaceBC{}
 	return fl
 }
 
-// bindKernels builds the worker-pool loop bodies of the physics once.
+// bindKernels builds the worker-pool loop bodies of the physics, its flux
+// buffers, pressure scratch and latitude tables once.
 func (p *Physics) bindKernels() {
+	g := p.S.G
+	p.fl = NewSurfaceFluxes(g.NCells)
+	p.pres = make([]float64, len(p.S.Exner))
+	p.cos2, p.cos4 = make([]float64, g.NCells), make([]float64, g.NCells)
+	for c := range p.cos2 {
+		lat, _ := g.CellCenter[c].LatLon()
+		p.cos2[c] = math.Cos(lat) * math.Cos(lat)
+		p.cos4[c] = math.Pow(math.Cos(lat), 4)
+	}
+
 	// Held–Suarez relaxation and saturation adjustment (per column).
 	p.parColumns = func(lo, hi int) {
 		s := p.S
-		g := s.G
 		nlev := s.NLev
-		dt, fl := p.phDt, p.phFl
+		dt, fl := p.phDt, p.fl
 		for c := lo; c < hi; c++ {
-			lat, _ := g.CellCenter[c].LatLon()
-			psfc := Pressure(s.Exner[c*nlev+nlev-1])
+			col := p.pres[c*nlev : (c+1)*nlev]
+			for k := range col {
+				col[k] = Pressure(s.Exner[c*nlev+k])
+			}
+			psfc := col[nlev-1]
+			cos2, cos4 := p.cos2[c], p.cos4[c]
+			sin2 := 1 - cos2
 			for k := 0; k < nlev; k++ {
 				i := c*nlev + k
 				exn := s.Exner[i]
-				pres := Pressure(exn)
+				pres := col[k]
 				sig := pres / psfc
 				T := s.Theta[i] * exn
 				// Thermal relaxation.
-				cos4 := math.Pow(math.Cos(lat), 4)
 				kt := p.HS.Ka
 				if sig > p.HS.SigmaB {
 					kt += (p.HS.Ks - p.HS.Ka) * cos4 * (sig - p.HS.SigmaB) / (1 - p.HS.SigmaB)
 				}
-				teq := p.HS.TEq(lat, pres)
+				teq := p.HS.teq(cos2, sin2, pres)
 				T -= dt * kt * (T - teq)
 
 				if p.MoistureOn {
@@ -215,10 +242,10 @@ func (p *Physics) bindKernels() {
 		nlev := s.NLev
 		dt := p.phDt
 		for e := lo; e < hi; e++ {
-			c0, c1 := g.EdgeCells[e][0], g.EdgeCells[e][1]
-			psfc := 0.5 * (Pressure(s.Exner[c0*nlev+nlev-1]) + Pressure(s.Exner[c1*nlev+nlev-1]))
+			p0, p1 := p.pres[g.EdgeCells[e][0]*nlev:], p.pres[g.EdgeCells[e][1]*nlev:]
+			psfc := 0.5 * (p0[nlev-1] + p1[nlev-1])
 			for k := 0; k < nlev; k++ {
-				pres := 0.5 * (Pressure(s.Exner[c0*nlev+k]) + Pressure(s.Exner[c1*nlev+k]))
+				pres := 0.5 * (p0[k] + p1[k])
 				sig := pres / psfc
 				if sig <= p.HS.SigmaB {
 					continue
@@ -235,12 +262,12 @@ func (p *Physics) bindKernels() {
 		g := s.G
 		nlev := s.NLev
 		kl := nlev - 1
-		dt, bc, fl := p.phDt, p.phBC, p.phFl
+		dt, bc, fl := p.phDt, p.phBC, p.fl
 		for c := lo; c < hi; c++ {
 			i := c*nlev + kl
 			exn := s.Exner[i]
 			T := s.Theta[i] * exn
-			pres := Pressure(exn)
+			pres := p.pres[i]
 			// Wind speed from reconstructed kinetic energy of the lowest level.
 			var ke float64
 			for j, e := range g.CellEdges[c] {

@@ -17,10 +17,6 @@ import "icoearth/internal/sched"
 func (d *Dycore) Transport(dt float64, rhoOld []float64) {
 	s := d.S
 	g := s.G
-	if d.rhoQ == nil {
-		d.rhoQ = make([]float64, g.NCells*s.NLev)
-		d.qFluxEdge = make([]float64, g.NEdges*s.NLev)
-	}
 	d.parDt = dt
 	d.trRhoOld = rhoOld
 	for t := 0; t < NumTracers; t++ {
@@ -40,7 +36,7 @@ func (d *Dycore) bindTransport() {
 		g := d.S.G
 		nlev := d.S.NLev
 		q := d.trQ
-		massFlux, qFlux := d.MassFluxEdge, d.qFluxEdge
+		massFlux, qFlux := d.MassFluxEdge, d.edgeShared
 		for e := lo; e < hi; e++ {
 			c0, c1 := g.EdgeCells[e][0], g.EdgeCells[e][1]
 			for k := 0; k < nlev; k++ {
@@ -60,7 +56,7 @@ func (d *Dycore) bindTransport() {
 		g := d.S.G
 		nlev := d.S.NLev
 		q, rhoOld, dt := d.trQ, d.trRhoOld, d.parDt
-		qFlux, rhoQ := d.qFluxEdge, d.rhoQ
+		qFlux, rhoQ := d.edgeShared, d.rhoQ
 		for c := lo; c < hi; c++ {
 			cellEdges, orient := g.CellEdges[c], g.EdgeOrient[c]
 			for k := 0; k < nlev; k++ {

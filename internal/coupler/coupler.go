@@ -131,6 +131,7 @@ type EarthSystem struct {
 	swDown    []float64 // analytic insolation proxy per global cell
 	pco2Ocean []float64 // atmospheric pCO2 over ocean cells, µatm
 	landCO2   []float64 // per global cell, land → atmosphere flux of current window
+	sfcFlux   []float64 // per global cell, gpuStep's surface tracer flux scratch
 
 	// Window accumulation of atmosphere fluxes (per global cell).
 	accHeat, accFresh, accStress, accSpeed []float64
@@ -209,6 +210,7 @@ func New(cfg Config, gpu, cpu *exec.Device) *EarthSystem {
 	es.swDown = make([]float64, n)
 	es.pco2Ocean = make([]float64, nOc)
 	es.landCO2 = make([]float64, n)
+	es.sfcFlux = make([]float64, n)
 	es.accHeat = make([]float64, n)
 	es.accFresh = make([]float64, n)
 	es.accStress = make([]float64, n)
@@ -410,7 +412,8 @@ func (es *EarthSystem) gpuStep(dt float64) {
 
 	// Apply the lagged (front-buffer) ocean→atmosphere CO₂ flux and the
 	// land CO₂ flux of the previous land step.
-	co2 := make([]float64, g.NCells)
+	co2 := es.sfcFlux
+	clear(co2)
 	pending := es.x.co2[es.x.fi()]
 	for i, c := range oc.Cells {
 		co2[c] = pending[i]
@@ -434,7 +437,8 @@ func (es *EarthSystem) gpuStep(dt float64) {
 	lfl, discharge := es.Land.Step(dt, lf)
 
 	// Land → atmosphere: evapotranspiration enters the lowest level now.
-	et := make([]float64, g.NCells)
+	et := es.sfcFlux
+	clear(et)
 	for i, c := range ld.Cells {
 		et[c] = lfl.Evapotranspiration[i]
 	}

@@ -10,15 +10,14 @@ import (
 	"icoearth/internal/sdfg"
 )
 
-// TestGridOperatorHandGenBitIdentical (the name is kept for test-ID
-// continuity; the reference is now the interpreter): every grid operator
-// backed by a generated kernel, called through the Grid method at workers
-// {1,4}, must reproduce bit for bit (%x) what sdfg.Interpret computes
-// from the DSL source over the same input. internal/gen's parity test
+// TestGridOperatorInterpreterBitIdentical: every grid operator backed by
+// a generated kernel, called through the Grid method at workers {1,4},
+// must reproduce bit for bit (%x) what sdfg.Interpret computes from the
+// DSL source over the same input. internal/gen's parity test
 // proves generated == interpreter per kernel; this one proves the
 // operator's own gen.Bind* call — which slice and which Gen table feeds
 // which parameter.
-func TestGridOperatorHandGenBitIdentical(t *testing.T) {
+func TestGridOperatorInterpreterBitIdentical(t *testing.T) {
 	g := grid.New(grid.R2B(2))
 	defer sched.SetWorkers(0)
 

@@ -84,6 +84,13 @@ SUMS_DIR="$(mktemp -d)"
 go run ./cmd/esmrun -hours 0.5 -overlap=true -sums "$SUMS_DIR/on.txt" > /dev/null
 go run ./cmd/esmrun -hours 0.5 -overlap=false -sums "$SUMS_DIR/off.txt" > /dev/null
 cmp "$SUMS_DIR/on.txt" "$SUMS_DIR/off.txt"
+# Atmosphere-heavy pair: the runs above have 10 atmosphere levels; 20 (the
+# benchmark's atm_bound shape) put the physics and column sweeps, block
+# boundaries included, under the workers {1,4} check where they dominate
+# (CI runs this pair and the ocean-heavy 6/12 one).
+go run ./cmd/esmrun -hours 1 -atmlev 20 -oclev 8 -workers 1 -sums "$SUMS_DIR/atm-w1.txt" > /dev/null
+go run ./cmd/esmrun -hours 1 -atmlev 20 -oclev 8 -workers 4 -sums "$SUMS_DIR/atm-w4.txt" > /dev/null
+cmp "$SUMS_DIR/atm-w1.txt" "$SUMS_DIR/atm-w4.txt"
 # Transport smoke: four real rank processes over unix sockets must land
 # on the byte-identical fingerprint (the CI determinism job runs the full
 # ranks × transport matrix). Built to a binary first: the socket launcher

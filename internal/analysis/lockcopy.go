@@ -7,12 +7,16 @@ import (
 )
 
 // LockCopy flags by-value transfer of the communicator state of
-// internal/par: World owns a mutex, condition variable and the shared
-// reduction buffers, and Comm owns a rank's pending-message map and
+// internal/par: World owns the lost-rank signal and the sync.Once that
+// closes it, and Comm owns a rank's pending-message map, parked fault
+// payloads, the foldOut buffer FoldSum's answer travels in and the
 // traffic counters. Copying either (parameter, result, receiver or
-// struct field) forks that state — collectives deadlock on the copied
-// mutex's condvar and statistics silently split. Both must travel as
-// pointers, the way par.World.Run hands ranks their *Comm.
+// struct field) forks that state — a copied World closes its signal a
+// second time, a copied Comm answers folds from a buffer its peers are
+// not reading and its statistics silently split. Both must travel as
+// pointers, the way par.World.Run hands ranks their *Comm. `go vet
+// -copylocks` sees only World (the Once); Comm holds no lock, so this
+// analyzer is what guards it.
 var LockCopy = &Analyzer{
 	Name: "lockcopy",
 	Doc:  "par.World and par.Comm must be passed by pointer, never copied",

@@ -207,3 +207,106 @@ func TestMsgHookDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSendToLostRankFullInbox: a Send that finds its peer's inbox full
+// must not outlive the peer. Rank 1 dies without reading; rank 0 posts
+// more one-float messages than the inbox holds. The sends that fit
+// succeed, the first that does not aborts rank 0 with ErrRankLost, and
+// RunErr returns.
+func TestSendToLostRankFullInbox(t *testing.T) {
+	w := NewWorld(2)
+	w.SetDeadline(200 * time.Millisecond)
+	done := make(chan error, 1)
+	go func() {
+		done <- w.RunErr(func(c *Comm) {
+			if c.Rank == 1 {
+				panic("injected crash")
+			}
+			for i := 0; i < 300; i++ {
+				c.Send(1, i, []float64{float64(i)})
+			}
+		})
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrRankLost) {
+			t.Errorf("want ErrRankLost, got %v", err)
+		}
+		if st := w.RankStats(0); st.Delivered != int64(cap(w.chans[0][1])) {
+			t.Errorf("Delivered = %d, want the inbox capacity %d", st.Delivered, cap(w.chans[0][1]))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Send to a lost rank with a full inbox never returned")
+	}
+}
+
+// TestCommSetDeadlineOnWorldRank: a goroutine rank's own SetDeadline
+// takes effect exactly as it does on a socket rank — a Recv with no
+// sender aborts the rank instead of hanging an unbounded World.
+func TestCommSetDeadlineOnWorldRank(t *testing.T) {
+	w := NewWorld(2) // no world deadline
+	done := make(chan error, 1)
+	go func() {
+		done <- w.RunErr(func(c *Comm) {
+			if c.Rank == 1 {
+				c.SetDeadline(50 * time.Millisecond)
+				c.Recv(0, 3) // nothing ever sent
+			}
+		})
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrRankLost) {
+			t.Errorf("want ErrRankLost, got %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Comm.SetDeadline had no effect on a World rank")
+	}
+}
+
+// TestRootLossAbortsCollectives: rank 0 is the fan-in point of every
+// collective, so it is the rank whose death must not strand the others.
+// With rank 0 crashed, each survivor's collective aborts with
+// ErrRankLost and RunErr returns.
+func TestRootLossAbortsCollectives(t *testing.T) {
+	const n = 4
+	for name, op := range map[string]func(c *Comm){
+		"barrier":   func(c *Comm) { c.Barrier() },
+		"foldsum":   func(c *Comm) { c.FoldSum([]float64{1, 2}) },
+		"allreduce": func(c *Comm) { c.AllreduceVec(OpSum, []float64{1, 2}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			w := NewWorld(n)
+			aborts := make([]error, n)
+			done := make(chan error, 1)
+			go func() {
+				done <- w.RunErr(func(c *Comm) {
+					if c.Rank == 0 {
+						panic("root crash")
+					}
+					defer func() {
+						p := recover()
+						if a, ok := p.(rankAbort); ok {
+							aborts[c.Rank] = a.err
+						}
+						panic(p)
+					}()
+					op(c)
+				})
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrRankLost) || !strings.Contains(err.Error(), "root crash") {
+					t.Errorf("RunErr = %v, want the crash and ErrRankLost", err)
+				}
+				for r := 1; r < n; r++ {
+					if !errors.Is(aborts[r], ErrRankLost) {
+						t.Errorf("rank %d: %s ended with %v, want an ErrRankLost abort", r, name, aborts[r])
+					}
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s deadlocked on a crashed root", name)
+			}
+		})
+	}
+}

@@ -86,8 +86,9 @@ func NewHaloExchanger(c *Comm, p *grid.Partition) (*HaloExchanger, error) {
 func (h *HaloExchanger) Neighbors() []int { return h.neighbors }
 
 // post packs and sends one buffer per neighbour (all fields, field-major)
-// and returns the sent byte count. Channels/sockets are buffered, so
-// posting every send before any receive cannot deadlock.
+// and returns the sent byte count. The freshly packed buffer is given up
+// to Comm.post as it is — no second copy. Channels/sockets are buffered,
+// so posting every send before any receive cannot deadlock.
 func (h *HaloExchanger) post(tag int, fields [][]float64, nlev int) int64 {
 	var sent int64
 	for _, r := range h.neighbors {
@@ -101,7 +102,7 @@ func (h *HaloExchanger) post(tag int, fields [][]float64, nlev int) int64 {
 			}
 		}
 		sent += int64(8 * len(buf))
-		h.comm.Send(r, tag, buf)
+		h.comm.post(r, tag, buf)
 	}
 	return sent
 }

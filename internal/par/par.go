@@ -1,7 +1,10 @@
 // Package par is the message-passing runtime of icoearth: the stand-in for
-// ICON's MPI layer. Ranks are goroutines; point-to-point messages travel
-// over per-pair buffered channels with tag matching; collectives (barrier,
-// allreduce, gather, broadcast) use a generation-counted shared reducer.
+// ICON's MPI layer. A Comm is one rank's handle; it speaks to its peers
+// through a Transport (transport.go) — buffered channels between the
+// goroutine ranks of a World, a unix-socket mesh between OS processes —
+// and every operation, point-to-point or collective, is the same message
+// pattern on either: tag-matched frames over per-pair FIFO links, with
+// rank 0 folding collective contributions in ascending rank order.
 //
 // Every operation also accumulates traffic statistics (message count,
 // bytes, collective count) that the performance model converts into
@@ -12,6 +15,7 @@ package par
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -24,8 +28,8 @@ import (
 // process failure (ULFM's MPI_ERR_PROC_FAILED). Operations that cannot
 // complete because of a lost rank either return an error wrapping
 // ErrRankLost (the *Timeout variants) or abort the rank body with it
-// (Recv/Barrier under a world deadline), so World.Run always terminates
-// instead of deadlocking.
+// (Send/Recv/Barrier and the other collectives), so World.Run always
+// terminates instead of deadlocking.
 var ErrRankLost = errors.New("par: rank lost")
 
 // rankAbort carries an ErrRankLost-derived failure out of a rank body as a
@@ -53,42 +57,30 @@ const (
 	DelayMsg
 )
 
-// MsgHook inspects every outgoing message and decides its fate. Hooks are
-// called on the sending rank's goroutine and must be safe for concurrent
-// use from all ranks. A nil hook (the default) costs one predictable
-// branch per send.
+// MsgHook inspects every outgoing message — Send calls and halo buffers,
+// not the frames collectives are built from — and decides its fate. Hooks
+// are called on the sending rank's goroutine and must be safe for
+// concurrent use from all ranks. A nil hook (the default) costs one
+// predictable branch per send.
 type MsgHook func(from, to, tag, n int) MsgFate
 
-// World owns the channels and collective state for a fixed number of ranks.
+// World launches a fixed number of goroutine ranks, each with a Comm over
+// a channel transport. It owns the channels and the lost-rank signal and
+// nothing else: collectives are Comm's message patterns, not shared state.
 type World struct {
 	N     int
 	chans [][]chan message // chans[from][to]
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	genArr  int
-	arrived int
-	// redParts[r] is rank r's staged contribution to the collective in
-	// flight. Keeping contributions per rank (instead of folding on
-	// arrival) lets the release fold walk them in ascending rank order —
-	// float addition does not commute in rounding, so an arrival-order
-	// fold would tie the result to goroutine scheduling.
-	redParts [][]float64
-	redLen   int
-	outVec   []float64
-
-	// Fault tolerance: lost-rank bookkeeping and the default operation
-	// deadline (0 = block forever, the pre-fault-tolerance behaviour).
-	nLost    int
+	// lostCh is closed when the first rank dies; every wait selects on it.
 	lostCh   chan struct{}
 	lostOnce sync.Once
+
+	// What each rank's Comm starts from.
 	deadline time.Duration
+	hook     MsgHook
+	tracer   *trace.Tracer
 
-	hook    MsgHook
-	delayed map[[2]int]*message // parked DelayMsg payloads per (from,to)
-
-	tracer *trace.Tracer
-	comms  []*Comm // the last Run's per-rank handles, for post-run stats
+	comms []*Comm // the last Run's per-rank handles, for post-run stats
 }
 
 // NewWorld creates a communicator world with n ranks.
@@ -96,9 +88,7 @@ func NewWorld(n int) *World {
 	if n < 1 {
 		panic(fmt.Sprintf("par: invalid world size %d", n))
 	}
-	w := &World{N: n, lostCh: make(chan struct{})}
-	w.cond = sync.NewCond(&w.mu)
-	w.chans = make([][]chan message, n)
+	w := &World{N: n, lostCh: make(chan struct{}), chans: make([][]chan message, n)}
 	for i := range w.chans {
 		w.chans[i] = make([]chan message, n)
 		for j := range w.chans[i] {
@@ -110,10 +100,11 @@ func NewWorld(n int) *World {
 	return w
 }
 
-// SetDeadline installs a default bound on every blocking operation
-// (Recv, Barrier, allreduce …): an operation that waits longer aborts its
-// rank with ErrRankLost instead of hanging forever. Zero (the default)
-// disables the bound. Must be set before Run.
+// SetDeadline installs the bound every rank's blocking operations (Recv,
+// Barrier, allreduce …) start from: an operation that waits longer for a
+// frame aborts its rank with ErrRankLost instead of hanging forever. Zero
+// (the default) disables the bound; a rank may change its own with
+// Comm.SetDeadline. Must be set before Run.
 func (w *World) SetDeadline(d time.Duration) { w.deadline = d }
 
 // SetMsgHook installs a fault-injection hook on every send. Must be set
@@ -125,15 +116,6 @@ func (w *World) SetMsgHook(h MsgHook) { w.hook = h }
 // collectives and halo exchanges). A nil tracer (the default) costs one
 // predictable branch per recording point. Must be set before Run.
 func (w *World) SetTracer(t *trace.Tracer) { w.tracer = t }
-
-// markLost records a dead rank and wakes everyone blocked on it.
-func (w *World) markLost() {
-	w.mu.Lock()
-	w.nLost++
-	w.cond.Broadcast()
-	w.mu.Unlock()
-	w.lostOnce.Do(func() { close(w.lostCh) })
-}
 
 // Run spawns one goroutine per rank executing body and waits for all of
 // them. Panics in rank bodies propagate after all ranks finish; a rank
@@ -158,61 +140,47 @@ func (w *World) RunErr(body func(c *Comm)) error {
 	errs := make([]error, w.N)
 	w.comms = make([]*Comm, w.N)
 	for r := 0; r < w.N; r++ {
-		c := &Comm{world: w, Rank: r, pending: make(map[int][]message)}
+		c := Connect(&chanTransport{w: w, rank: r})
+		c.deadline, c.hook = w.deadline, w.hook
 		if w.tracer != nil {
 			c.attachTrace(w.tracer.Track("par", r))
 		}
 		w.comms[r] = c
 		wg.Add(1)
-		go func(rank int, c *Comm) {
+		go func(c *Comm) {
 			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					if a, ok := p.(rankAbort); ok {
-						errs[rank] = fmt.Errorf("par: rank %d: %w", rank, a.err)
-					} else {
-						errs[rank] = fmt.Errorf("par: rank %d panicked: %v", rank, p)
-					}
-					// Wake any rank blocked on this one so Run returns.
-					w.markLost()
-				}
-			}()
-			body(c)
-		}(r, c)
+			bug, err := runRank(c, body)
+			if bug != nil {
+				err = fmt.Errorf("par: rank %d panicked: %v", c.Rank, bug)
+			}
+			if errs[c.Rank] = err; err != nil {
+				// Wake any rank blocked on this one so Run returns.
+				w.lostOnce.Do(func() { close(w.lostCh) })
+			}
+		}(c)
 	}
 	wg.Wait()
-	w.drainDelayed()
+	for _, c := range w.comms {
+		c.drainParked()
+	}
 	return errors.Join(errs...)
 }
 
-// drainDelayed accounts parked messages that never got a follow-up send:
-// they were never delivered, so they move from Delayed to Dropped on the
-// sending rank. Runs after all rank goroutines have finished. The drain
-// walks (from,to) pairs in sorted order so the emitted trace instants —
-// part of the run's reproducible observable output — do not inherit map
-// iteration order.
-func (w *World) drainDelayed() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	keys := make([][2]int, 0, len(w.delayed))
-	for key := range w.delayed {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+// runRank executes body as rank c and catches its panic: an abort caused
+// by a lost peer or an expired deadline comes back as an error wrapping
+// ErrRankLost, anything else as the bug it is.
+func runRank(c *Comm, body func(c *Comm)) (bug any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			if a, ok := p.(rankAbort); ok {
+				err = fmt.Errorf("par: rank %d: %w", c.Rank, a.err)
+			} else {
+				bug = p
+			}
 		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, key := range keys {
-		c := w.comms[key[0]]
-		c.Stats.Delayed--
-		c.Stats.Dropped++
-		c.ctrDelayed.Add(-1)
-		c.ctrDropped.Add(1)
-		c.track.InstantArg("msg:tail-loss", "to", int64(key[1]))
-		delete(w.delayed, key)
-	}
+	}()
+	body(c)
+	return nil, nil
 }
 
 // RankStats returns rank r's final Stats from the most recent Run/RunErr,
@@ -240,17 +208,21 @@ func (w *World) TotalStats() Stats {
 	return t
 }
 
-// Stats counts the traffic a rank generated. Accounting happens after
-// the fault hook's fate resolution, so the delivered-traffic fields
-// (Delivered, BytesSent) count only payloads that actually entered the
-// transport — the volumes the α–β network model converts into time —
-// and the invariant
+// Stats counts the traffic a rank generated, and means the same thing on
+// every transport: point-to-point traffic — Send/Recv calls and halo
+// buffers — is counted message by message; a collective, however many
+// frames it is built from, counts once in Collectives and nowhere else.
+// Accounting happens after the fault hook's fate resolution, so the
+// delivered-traffic fields (Delivered, BytesSent) count only payloads that
+// actually entered the transport — the volumes the α–β network model
+// converts into time — and the invariant
 //
 //	Msgs == Delivered + Dropped + Delayed
 //
 // holds at every instant (Delayed being parked-and-not-yet-flushed).
 type Stats struct {
-	// Msgs counts Send calls (attempts), whatever their fate.
+	// Msgs counts Send calls and halo buffers (attempts), whatever their
+	// fate.
 	Msgs int64
 	// Delivered counts messages that entered the transport: delivered
 	// immediately, or parked and later flushed by follow-up traffic.
@@ -262,7 +234,9 @@ type Stats struct {
 	// caller on this rank (a parked message counts when it is finally
 	// matched, not when it arrives). Dropped traffic appears in neither
 	// direction, so sent and received volumes cross-check.
-	BytesRecvd  int64
+	BytesRecvd int64
+	// Collectives counts Barrier, AllreduceVec, FoldSum, Gather and Bcast
+	// calls.
 	Collectives int64
 	// Dropped counts DropMsg verdicts plus parked messages drained at Run
 	// completion (tail loss). Delayed counts currently parked messages: a
@@ -272,21 +246,29 @@ type Stats struct {
 	Delayed int64
 }
 
-// Comm is one rank's handle into the world. It is backed either by an
-// in-process World (world != nil, the default) or by a Transport
-// (tp != nil, e.g. the unix-socket mesh) — the operation surface and its
-// deterministic semantics are identical in both modes.
+// Comm is one rank's handle into its world: every operation below is one
+// implementation over c.tp, whichever Transport that is. A Comm belongs to
+// its rank's goroutine and must be passed by pointer.
 type Comm struct {
-	world *World
-	Rank  int
+	Rank int
+	tp   Transport
+	n    int
+	// deadline bounds the wait for each frame of a blocking operation
+	// (0 = wait for the frame or a lost peer).
+	deadline time.Duration
 	// pending buffers messages received ahead of their Recv call, keyed by
 	// sending rank.
 	pending map[int][]message
 
-	// Transport backend (nil when World-backed): see transport.go.
-	tp         Transport
-	tpN        int
-	tpDeadline time.Duration
+	// Fault injection (nil hook in production): parked holds the DelayMsg
+	// payload per destination rank.
+	hook   MsgHook
+	parked map[int]*message
+
+	// foldOut carries FoldSum's answer from the root to its peers. The root
+	// rewrites it only after every peer has contributed to the next fold,
+	// which a peer does only after reading this one.
+	foldOut [1]float64
 
 	Stats Stats
 
@@ -311,57 +293,49 @@ func (c *Comm) attachTrace(tk *trace.Track) {
 }
 
 // Size returns the number of ranks.
-func (c *Comm) Size() int {
-	if c.tp != nil {
-		return c.tpN
-	}
-	return c.world.N
-}
+func (c *Comm) Size() int { return c.n }
 
-// commDeadline is the backend's default bound on blocking operations.
-func (c *Comm) commDeadline() time.Duration {
-	if c.tp != nil {
-		return c.tpDeadline
-	}
-	return c.world.deadline
-}
+// SetDeadline bounds every blocking operation of this rank: an operation
+// that waits longer than d for a frame aborts with an error wrapping
+// ErrRankLost. Zero disables the bound. Ranks of a World start from
+// World.SetDeadline's value.
+func (c *Comm) SetDeadline(d time.Duration) { c.deadline = d }
 
-// countRecv accounts one payload returned to a Recv caller.
-func (c *Comm) countRecv(n int) {
-	c.Stats.BytesRecvd += int64(8 * n)
-	c.ctrBytesRecvd.Add(int64(8 * n))
+// checkPeer panics on a rank outside the world: a bug in the caller, not a
+// fault of the run.
+func (c *Comm) checkPeer(op string, r int) {
+	if r < 0 || r >= c.n {
+		panic(fmt.Sprintf("par: %s invalid rank %d", op, r))
+	}
 }
 
 // Send delivers data to rank `to` with the given tag. The data slice is
-// copied, so the caller may reuse it immediately.
-//
-// Accounting runs after the fault hook decides the message's fate:
-// Stats.Msgs counts the attempt, but Delivered/BytesSent grow only when a
-// payload actually enters the transport, so dropped and parked messages
-// never inflate the delivered-traffic volumes the α–β model consumes.
+// copied, so the caller may reuse it immediately. A transport that can no
+// longer reach the peer aborts the rank with ErrRankLost.
 func (c *Comm) Send(to, tag int, data []float64) {
-	if c.tp != nil {
-		c.sendTp(to, tag, data)
-		return
-	}
-	if to < 0 || to >= c.world.N {
-		panic(fmt.Sprintf("par: send to invalid rank %d", to))
-	}
-	buf := make([]float64, len(data))
-	copy(buf, data)
+	c.post(to, tag, slices.Clone(data))
+}
+
+// post hands a buffer the caller gives up (Send's copy, a packed halo
+// buffer) to the transport. It is the one place the fault hook sees
+// traffic and the one place point-to-point traffic is counted, after the
+// hook's verdict: Msgs counts the attempt, Delivered/BytesSent only a
+// payload that entered the transport, so dropped and parked messages never
+// inflate the volumes the α–β model consumes.
+func (c *Comm) post(to, tag int, data []float64) {
+	c.checkPeer("send to", to)
 	c.Stats.Msgs++
 	c.ctrMsgs.Add(1)
-	w := c.world
-	m := message{tag: tag, data: buf}
-	if w.hook != nil {
-		switch w.hook(c.Rank, to, tag, len(data)) {
+	m := message{tag: tag, data: data}
+	if c.hook != nil {
+		switch c.hook(c.Rank, to, tag, len(data)) {
 		case DropMsg:
 			c.Stats.Dropped++
 			c.ctrDropped.Add(1)
 			c.track.InstantArg("msg:drop", "to", int64(to))
 			return
 		case DelayMsg:
-			w.park(c.Rank, to, m)
+			c.park(to, m)
 			c.Stats.Delayed++
 			c.ctrDelayed.Add(1)
 			c.track.InstantArg("msg:delay", "to", int64(to))
@@ -370,10 +344,8 @@ func (c *Comm) Send(to, tag int, data []float64) {
 		// A normally-delivered message flushes any parked predecessor
 		// after itself, realising the reorder; the flushed message is
 		// delivered traffic from this point on.
-		w.mu.Lock()
-		parked := w.delayed[[2]int{c.Rank, to}]
-		delete(w.delayed, [2]int{c.Rank, to})
-		w.mu.Unlock()
+		parked := c.parked[to]
+		delete(c.parked, to)
 		c.deliver(to, m)
 		if parked != nil {
 			c.Stats.Delayed--
@@ -385,36 +357,65 @@ func (c *Comm) Send(to, tag int, data []float64) {
 	c.deliver(to, m)
 }
 
-// park holds a DelayMsg payload until the next send on the same ordered
-// pair (reordering), or forever (tail loss, drained at Run completion).
+// park holds a DelayMsg payload until the next send to the same rank
+// (reordering), or forever (tail loss, drained at Run completion).
 // The copy to the heap happens here, in its own frame, so the address-of
-// does not force Send's message to escape on the hook-free fast path.
-func (w *World) park(from, to int, m message) {
-	w.mu.Lock()
-	if w.delayed == nil {
-		w.delayed = make(map[[2]int]*message)
+// does not force post's message to escape on the hook-free fast path.
+func (c *Comm) park(to int, m message) {
+	if c.parked == nil {
+		c.parked = make(map[int]*message)
 	}
-	w.delayed[[2]int{from, to}] = &m
-	w.mu.Unlock()
+	c.parked[to] = &m
+}
+
+// drainParked accounts parked messages that never got a follow-up send:
+// they were never delivered, so they move from Delayed to Dropped. Runs
+// after the rank has finished, in ascending destination order so the
+// emitted trace instants — part of the run's reproducible observable
+// output — do not inherit map iteration order.
+func (c *Comm) drainParked() {
+	tos := make([]int, 0, len(c.parked))
+	for to := range c.parked {
+		tos = append(tos, to)
+	}
+	sort.Ints(tos)
+	for _, to := range tos {
+		c.Stats.Delayed--
+		c.Stats.Dropped++
+		c.ctrDelayed.Add(-1)
+		c.ctrDropped.Add(1)
+		c.track.InstantArg("msg:tail-loss", "to", int64(to))
+	}
 }
 
 // deliver places one message into the transport and accounts it as
 // delivered traffic.
 func (c *Comm) deliver(to int, m message) {
-	c.world.chans[c.Rank][to] <- m
+	c.wire(to, m.tag, m.data)
 	c.Stats.Delivered++
 	c.Stats.BytesSent += int64(8 * len(m.data))
 	c.ctrDelivered.Add(1)
 	c.ctrBytes.Add(int64(8 * len(m.data)))
 }
 
+// wire puts one frame on the transport, uncounted: the frames of a
+// collective go through here directly. Per the Transport contract the
+// receiver may see data itself, so the caller either gives the buffer up
+// or — lending it — blocks until the receiver has answered.
+func (c *Comm) wire(to, tag int, data []float64) {
+	c.checkPeer("send to", to)
+	if err := c.tp.Send(to, tag, data); err != nil {
+		panic(rankAbort{fmt.Errorf("par: send to rank %d tag %d: %w", to, tag, err)})
+	}
+}
+
 // Recv blocks until a message with the given tag arrives from rank `from`
 // and returns its payload. Messages with other tags from the same sender
-// are buffered in order. Under a world deadline (SetDeadline) or when the
+// are buffered in order. Under a deadline (SetDeadline) or when the
 // sender is lost, Recv aborts the rank body with ErrRankLost instead of
 // hanging; RecvTimeout returns the condition as an error.
 func (c *Comm) Recv(from, tag int) []float64 {
-	data, err := c.RecvTimeout(from, tag, c.commDeadline())
+	data, err := c.RecvTimeout(from, tag, c.deadline)
 	if err != nil {
 		panic(rankAbort{err})
 	}
@@ -422,152 +423,100 @@ func (c *Comm) Recv(from, tag int) []float64 {
 }
 
 // RecvTimeout is Recv with an explicit bound: it returns an error wrapping
-// ErrRankLost if no matching message arrives within timeout or the sending
-// rank is lost while waiting. timeout <= 0 waits until the message arrives
-// or the sender dies.
+// ErrRankLost if the link from the sender goes idle for timeout or the
+// sending rank is lost while waiting. timeout <= 0 waits until the message
+// arrives or the sender dies.
+//
+// The bound applies per received frame — what it detects is a dead or
+// wedged peer; a peer still streaming frames (even mismatched tags) is
+// making FIFO progress toward the wanted one, so each arrival re-arms the
+// window. No absolute clock is read, keeping the package free of
+// wall-time dependence (the transport owns its own timer).
 func (c *Comm) RecvTimeout(from, tag int, timeout time.Duration) ([]float64, error) {
-	if c.tp != nil {
-		return c.recvTp(from, tag, timeout)
+	data, err := c.take(from, tag, timeout)
+	if err == nil {
+		c.Stats.BytesRecvd += int64(8 * len(data))
+		c.ctrBytesRecvd.Add(int64(8 * len(data)))
 	}
-	if from < 0 || from >= c.world.N {
-		panic(fmt.Sprintf("par: recv from invalid rank %d", from))
-	}
+	return data, err
+}
+
+// take is the uncounted receive under RecvTimeout and every collective:
+// drain frames from the peer in arrival order, parking mismatched tags in
+// pending, until the wanted tag arrives or the transport gives up.
+func (c *Comm) take(from, tag int, timeout time.Duration) ([]float64, error) {
+	c.checkPeer("recv from", from)
 	q := c.pending[from]
 	for i, m := range q {
 		if m.tag == tag {
 			c.pending[from] = append(q[:i:i], q[i+1:]...)
-			c.countRecv(len(m.data))
 			return m.data, nil
 		}
 	}
-	w := c.world
-	ch := w.chans[from][c.Rank]
-	var timer *time.Timer
-	var timeoutCh <-chan time.Time
-	if timeout > 0 {
-		timer = time.NewTimer(timeout)
-		defer timer.Stop()
-		timeoutCh = timer.C
-	}
 	for {
-		// Fast path: data already queued.
-		select {
-		case m := <-ch:
-			if m.tag == tag {
-				c.countRecv(len(m.data))
-				return m.data, nil
-			}
-			c.pending[from] = append(c.pending[from], m)
-			continue
-		default:
+		mt, data, err := c.tp.Recv(from, timeout)
+		if err != nil {
+			return nil, fmt.Errorf("par: recv from rank %d tag %d: %w", from, tag, err)
 		}
-		select {
-		case m := <-ch:
-			if m.tag == tag {
-				c.countRecv(len(m.data))
-				return m.data, nil
-			}
-			c.pending[from] = append(c.pending[from], m)
-		case <-w.lostCh:
-			// A rank died; in-flight data may still be in the channel.
-			select {
-			case m := <-ch:
-				if m.tag == tag {
-					c.countRecv(len(m.data))
-					return m.data, nil
-				}
-				c.pending[from] = append(c.pending[from], m)
-				continue
-			default:
-			}
-			return nil, fmt.Errorf("par: recv from rank %d tag %d: %w", from, tag, ErrRankLost)
-		case <-timeoutCh:
-			return nil, fmt.Errorf("par: recv from rank %d tag %d timed out after %v: %w",
-				from, tag, timeout, ErrRankLost)
+		if mt == tag {
+			return data, nil
 		}
+		c.pending[from] = append(c.pending[from], message{tag: mt, data: data})
 	}
 }
 
-// Barrier blocks until all ranks have entered it. Under a world deadline
-// or a lost rank it aborts with ErrRankLost instead of hanging.
+// await is take under the rank's deadline for a collective's frame; a
+// failure aborts the rank, naming the collective.
+func (c *Comm) await(from, tag int, coll string) []float64 {
+	data, err := c.take(from, tag, c.deadline)
+	if err != nil {
+		panic(rankAbort{fmt.Errorf("par: %s: %w", coll, err)})
+	}
+	return data
+}
+
+// beginColl counts one collective call and opens its trace span.
+func (c *Comm) beginColl() int64 {
+	c.Stats.Collectives++
+	c.ctrColl.Add(1)
+	return c.track.Start()
+}
+
+// Barrier blocks until all ranks have entered it. Under a deadline or a
+// lost rank it aborts with ErrRankLost instead of hanging.
 func (c *Comm) Barrier() {
-	if err := c.BarrierTimeout(c.commDeadline()); err != nil {
+	if err := c.BarrierTimeout(c.deadline); err != nil {
 		panic(rankAbort{err})
 	}
 }
 
-// BarrierTimeout is Barrier with an explicit bound, returning an error
-// wrapping ErrRankLost when the barrier cannot complete: a rank is already
-// lost, dies while we wait, or the timeout expires. timeout <= 0 waits
-// for completion or a lost rank.
+// BarrierTimeout is Barrier with an explicit bound on each frame it waits
+// for, returning an error wrapping ErrRankLost when the barrier cannot
+// complete: a rank is lost or the timeout expires. timeout <= 0 waits for
+// completion or a lost rank.
+//
+// The barrier is fan-in to rank 0, fan-out back. Per-pair FIFO plus tag
+// matching make the ack a true release edge — no rank leaves before every
+// rank has entered.
 func (c *Comm) BarrierTimeout(timeout time.Duration) error {
-	c.Stats.Collectives++
-	c.ctrColl.Add(1)
-	t0 := c.track.Start()
+	t0 := c.beginColl()
 	defer c.track.End("coll:barrier", t0)
-	if c.tp != nil {
-		return c.tpBarrier(timeout)
-	}
-	w := c.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.nLost > 0 {
-		return fmt.Errorf("par: barrier: %w", ErrRankLost)
-	}
-	if err := w.finishOrWait(timeout, nil); err != nil {
-		return fmt.Errorf("par: barrier: %w", err)
-	}
-	return nil
-}
-
-// finishOrWait completes one generation of a shared-state collective.
-// The caller holds w.mu and has already staged its contribution (if
-// any): the last rank to arrive runs fold under the lock — publishing
-// the generation's result — and releases everyone; other ranks wait for
-// the generation to advance, bounded by timeout. Returns an error
-// (wrapping ErrRankLost) when a rank is lost or the bound expires.
-func (w *World) finishOrWait(timeout time.Duration, fold func()) error {
-	gen := w.genArr
-	w.arrived++
-	if w.arrived == w.N {
-		w.arrived = 0
-		w.genArr++
-		if fold != nil {
-			fold()
+	if c.Rank != 0 {
+		c.wire(0, tagBarrier, nil)
+		if _, err := c.take(0, tagBarrier, timeout); err != nil {
+			return fmt.Errorf("par: barrier: %w", err)
 		}
-		w.cond.Broadcast()
 		return nil
 	}
-	timedOut := false
-	if timeout > 0 {
-		t := time.AfterFunc(timeout, func() {
-			w.mu.Lock()
-			timedOut = true
-			w.cond.Broadcast()
-			w.mu.Unlock()
-		})
-		defer t.Stop()
-	}
-	for w.genArr == gen && w.nLost == 0 && !timedOut {
-		w.cond.Wait()
-	}
-	if w.genArr == gen {
-		if w.nLost > 0 {
-			return ErrRankLost
+	for r := 1; r < c.n; r++ {
+		if _, err := c.take(r, tagBarrier, timeout); err != nil {
+			return fmt.Errorf("par: barrier: %w", err)
 		}
-		return fmt.Errorf("timed out after %v: %w", timeout, ErrRankLost)
+	}
+	for r := 1; r < c.n; r++ {
+		c.wire(r, tagBarrier, nil)
 	}
 	return nil
-}
-
-// depositPart stages this rank's collective contribution (caller holds
-// w.mu).
-func (c *Comm) depositPart(x []float64) {
-	w := c.world
-	if w.redParts == nil {
-		w.redParts = make([][]float64, w.N)
-	}
-	w.redParts[c.Rank] = append(w.redParts[c.Rank][:0], x...)
 }
 
 // ReduceOp selects the elementwise reduction.
@@ -580,50 +529,52 @@ const (
 )
 
 // AllreduceVec reduces x elementwise across all ranks and returns the
-// result (same on every rank). All ranks must pass slices of equal length.
-// Contributions fold in ascending rank order — never arrival order — so
-// the floating-point result is independent of goroutine scheduling and
-// matches the transport backend's root fold bit for bit. Under a world
-// deadline or a lost rank it aborts with ErrRankLost; a world in which
-// any operation has failed must not be reused.
+// result (same on every rank, each rank's own slice). All ranks must pass
+// slices of equal length. Rank 0 folds the contributions in ascending rank
+// order — never arrival order, float addition does not commute in
+// rounding — so the result is independent of scheduling and wire timing
+// down to the last bit. Under a deadline or a lost rank it aborts with
+// ErrRankLost; a world in which any operation has failed must not be
+// reused.
 func (c *Comm) AllreduceVec(op ReduceOp, x []float64) []float64 {
-	c.Stats.Collectives++
-	c.ctrColl.Add(1)
-	t0 := c.track.Start()
+	t0 := c.beginColl()
 	defer c.track.EndArg("coll:allreduce", t0, "bytes", int64(8*len(x)))
-	if c.tp != nil {
-		out, err := c.tpAllreduceVec(op, x)
-		if err != nil {
-			panic(rankAbort{fmt.Errorf("par: allreduce: %w", err)})
+	if c.Rank != 0 {
+		// x is lent, not copied: this rank blocks until the root, which
+		// reads x before it answers, has answered.
+		c.wire(0, tagReduce, x)
+		return c.await(0, tagReduceOut, "allreduce")
+	}
+	acc := slices.Clone(x)
+	for r := 1; r < c.n; r++ {
+		part := c.await(r, tagReduce, "allreduce")
+		if len(part) != len(acc) {
+			panic(fmt.Sprintf("par: allreduce length mismatch: %d vs %d", len(part), len(acc)))
 		}
-		return out
+		foldVec(op, acc, part)
 	}
-	w := c.world
-	w.mu.Lock()
-	if w.nLost > 0 {
-		w.mu.Unlock()
-		panic(rankAbort{fmt.Errorf("par: allreduce: %w", ErrRankLost)})
+	for r := 1; r < c.n; r++ {
+		c.wire(r, tagReduceOut, slices.Clone(acc)) // the peer keeps it
 	}
-	if w.arrived == 0 {
-		w.redLen = len(x)
-	} else if len(x) != w.redLen {
-		w.mu.Unlock()
-		panic(fmt.Sprintf("par: allreduce length mismatch: %d vs %d", len(x), w.redLen))
-	}
-	c.depositPart(x)
-	if err := w.finishOrWait(w.deadline, func() {
-		w.outVec = append(w.outVec[:0], w.redParts[0]...)
-		for r := 1; r < w.N; r++ {
-			foldVec(op, w.outVec, w.redParts[r])
+	return acc
+}
+
+// foldVec folds part into acc elementwise.
+func foldVec(op ReduceOp, acc, part []float64) {
+	for i, v := range part {
+		switch op {
+		case OpSum:
+			acc[i] += v
+		case OpMax:
+			if v > acc[i] {
+				acc[i] = v
+			}
+		case OpMin:
+			if v < acc[i] {
+				acc[i] = v
+			}
 		}
-	}); err != nil {
-		w.mu.Unlock()
-		panic(rankAbort{fmt.Errorf("par: allreduce: %w", err)})
 	}
-	out := make([]float64, len(w.outVec))
-	copy(out, w.outVec)
-	w.mu.Unlock()
-	return out
 }
 
 // FoldSum folds every rank's slice of partial sums into one scalar — the
@@ -634,40 +585,30 @@ func (c *Comm) AllreduceVec(op ReduceOp, x []float64) []float64 {
 // contiguous shard of a global vector, the rank-order concatenation is
 // exactly the serial ascending-block partial list, so the distributed
 // reduction reproduces the single-rank fold bit for bit.
+//
+// Nothing is copied or allocated: a peer lends parts to the root (as in
+// AllreduceVec) and the answer travels in the root's foldOut.
 func (c *Comm) FoldSum(parts []float64) float64 {
-	c.Stats.Collectives++
-	c.ctrColl.Add(1)
-	t0 := c.track.Start()
+	t0 := c.beginColl()
 	defer c.track.EndArg("coll:foldsum", t0, "bytes", int64(8*len(parts)))
-	if c.tp != nil {
-		out, err := c.tpFoldSum(parts)
-		if err != nil {
-			panic(rankAbort{fmt.Errorf("par: foldsum: %w", err)})
+	if c.Rank != 0 {
+		c.wire(0, tagFold, parts)
+		return c.await(0, tagFoldOut, "foldsum")[0]
+	}
+	var s float64
+	for _, v := range parts {
+		s += v
+	}
+	for r := 1; r < c.n; r++ {
+		for _, v := range c.await(r, tagFold, "foldsum") {
+			s += v
 		}
-		return out
 	}
-	w := c.world
-	w.mu.Lock()
-	if w.nLost > 0 {
-		w.mu.Unlock()
-		panic(rankAbort{fmt.Errorf("par: foldsum: %w", ErrRankLost)})
+	c.foldOut[0] = s
+	for r := 1; r < c.n; r++ {
+		c.wire(r, tagFoldOut, c.foldOut[:])
 	}
-	c.depositPart(parts)
-	if err := w.finishOrWait(w.deadline, func() {
-		var s float64
-		for r := 0; r < w.N; r++ {
-			for _, v := range w.redParts[r] {
-				s += v
-			}
-		}
-		w.outVec = append(w.outVec[:0], s)
-	}); err != nil {
-		w.mu.Unlock()
-		panic(rankAbort{fmt.Errorf("par: foldsum: %w", err)})
-	}
-	out := w.outVec[0]
-	w.mu.Unlock()
-	return out
+	return s
 }
 
 // AllreduceSum reduces a scalar sum across ranks.
@@ -680,58 +621,42 @@ func (c *Comm) AllreduceMax(x float64) float64 {
 	return c.AllreduceVec(OpMax, []float64{x})[0]
 }
 
-// Gather collects every rank's slice at root; non-root ranks receive nil.
-// Slices may have different lengths.
+// Gather collects every rank's slice at root, in rank order; non-root
+// ranks receive nil. Slices may have different lengths. The root keeps
+// what it is sent, so every rank contributes a private copy and does not
+// wait: per-pair FIFO and the tag keep successive gathers apart.
 func (c *Comm) Gather(root int, data []float64) [][]float64 {
-	c.Stats.Collectives++
-	c.ctrColl.Add(1)
-	t0 := c.track.Start()
+	t0 := c.beginColl()
 	defer c.track.End("coll:gather", t0)
-	if c.tp != nil {
-		return c.tpGather(root, data)
-	}
 	if c.Rank != root {
-		c.Send(root, tagGather, data)
-		c.Barrier()
+		c.wire(root, tagGather, slices.Clone(data))
 		return nil
 	}
-	out := make([][]float64, c.world.N)
-	for r := 0; r < c.world.N; r++ {
+	out := make([][]float64, c.n)
+	for r := range out {
 		if r == root {
-			buf := make([]float64, len(data))
-			copy(buf, data)
-			out[r] = buf
-			continue
+			out[r] = slices.Clone(data)
+		} else {
+			out[r] = c.await(r, tagGather, "gather")
 		}
-		out[r] = c.Recv(r, tagGather)
 	}
-	c.Barrier()
 	return out
 }
 
-// Bcast sends root's data to every rank and returns it.
+// Bcast sends root's data to every rank and returns it: data itself on
+// the root, a private copy everywhere else.
 func (c *Comm) Bcast(root int, data []float64) []float64 {
-	c.Stats.Collectives++
-	c.ctrColl.Add(1)
-	t0 := c.track.Start()
+	t0 := c.beginColl()
 	defer c.track.End("coll:bcast", t0)
-	if c.tp != nil {
-		return c.tpBcast(root, data)
+	if c.Rank != root {
+		return c.await(root, tagBcast, "bcast")
 	}
-	if c.Rank == root {
-		for r := 0; r < c.world.N; r++ {
-			if r != root {
-				c.Send(r, tagBcast, data)
-			}
+	for r := 0; r < c.n; r++ {
+		if r != root {
+			c.wire(r, tagBcast, slices.Clone(data))
 		}
-		out := make([]float64, len(data))
-		copy(out, data)
-		c.Barrier()
-		return out
 	}
-	out := c.Recv(root, tagBcast)
-	c.Barrier()
-	return out
+	return data
 }
 
 // Reserved internal tags; user tags should be small non-negative ints.

@@ -1,16 +1,16 @@
-// Package socket is the multi-process backend of the par transport
-// seam: ranks are OS processes connected by a full mesh of unix-domain
-// stream sockets. Messages travel as length-prefixed frames
+// Package socket is the multi-process par.Transport: ranks are OS
+// processes connected by a full mesh of unix-domain stream sockets.
+// Messages travel as length-prefixed frames
 //
 //	[tag int32][n int32][n × 8-byte little-endian float64]
 //
 // writes on a pair are serialised under a per-connection mutex and SOCK_
 // STREAM preserves byte order, so the per-(sender,receiver) FIFO
 // property par.Comm's tag matching assumes holds on the wire exactly as
-// it does on the in-process channels. A dead peer (EOF, write error) or
+// it does on a World's channels. A dead peer (EOF, write error) or
 // an expired receive deadline surfaces as an error wrapping
 // par.ErrRankLost, so the fault layer treats a lost process exactly like
-// a lost in-process rank.
+// a lost goroutine rank.
 package socket
 
 import (
@@ -190,7 +190,7 @@ func (t *Transport) dialLower(dir string, deadline time.Time) error {
 // connection dies, then closes the inbox so receivers observe the rank
 // as lost. Backpressure: a full inbox blocks the loop, which fills the
 // kernel socket buffer, which eventually blocks the sender — the wire
-// analogue of the in-process world's bounded channels.
+// analogue of the channel transport's bounded inboxes.
 func (t *Transport) readLoop(from int, p *peer) {
 	defer close(p.inbox)
 	var hdr [8]byte

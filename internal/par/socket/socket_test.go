@@ -288,3 +288,60 @@ func TestChildEnv(t *testing.T) {
 		t.Fatal("ChildEnv without rank var should not be ok")
 	}
 }
+
+// TestStatsSameOnBothTransports: one Comm over one Transport means one
+// accounting rule. The same body — sends, a halo exchange, and one of
+// every collective — run over the goroutine ranks of a World and over a
+// socket mesh must leave field-for-field equal Stats on every rank: the
+// frames a collective is built from are nobody's messages on either.
+func TestStatsSameOnBothTransports(t *testing.T) {
+	const n = 3
+	d, err := grid.Decompose(grid.New(grid.R2B(1)), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats [2][n]par.Stats
+	body := func(out *[n]par.Stats) func(c *par.Comm) {
+		return func(c *par.Comm) {
+			c.SetDeadline(5 * time.Second)
+			next, prev := (c.Rank+1)%n, (c.Rank+n-1)%n
+			for i := 0; i < 3; i++ {
+				c.Send(next, i, make([]float64, 10*(i+1)))
+			}
+			for i := 2; i >= 0; i-- {
+				c.Recv(prev, i)
+			}
+			p := d.Parts[c.Rank]
+			h, err := par.NewHaloExchanger(c, p)
+			if err != nil {
+				t.Errorf("rank %d: %v", c.Rank, err)
+				return
+			}
+			if err := h.Exchange(make([]float64, 2*(len(p.Owner)+len(p.HaloCells))), 2); err != nil {
+				t.Errorf("rank %d: %v", c.Rank, err)
+				return
+			}
+			c.Barrier()
+			c.FoldSum([]float64{1, 2, 3})
+			c.AllreduceVec(par.OpMax, []float64{float64(c.Rank), 1})
+			var seed []float64
+			if parts := c.Gather(1, make([]float64, 4+c.Rank)); c.Rank == 1 {
+				seed = parts[2]
+			}
+			if got := c.Bcast(1, seed); len(got) != 6 {
+				t.Errorf("rank %d: bcast of rank 2's gathered slice has %d values, want 6", c.Rank, len(got))
+			}
+			out[c.Rank] = c.Stats
+		}
+	}
+	par.NewWorld(n).Run(body(&stats[0]))
+	runMesh(t, startMesh(t, n), body(&stats[1]))
+	for r := 0; r < n; r++ {
+		if stats[0][r] != stats[1][r] {
+			t.Errorf("rank %d: World %+v\n        socket %+v", r, stats[0][r], stats[1][r])
+		}
+		if got := stats[0][r]; got.Msgs == 0 || got.BytesRecvd == 0 || got.Collectives != 5 {
+			t.Errorf("rank %d: %+v, want traffic and 5 collectives", r, got)
+		}
+	}
+}

@@ -1,14 +1,7 @@
-// The transport seam: Comm's message and collective operations run
-// either over the in-process channel World (the default backend, one
-// goroutine per rank) or over any Transport implementation — a real
-// wire. The socket subpackage provides the multi-process unix-socket
-// backend; Connect/RunTransport bind one OS process to its rank.
-//
-// Collectives over a Transport are message-based with rank 0 as the
-// root: contributions are received and folded in ascending rank order,
-// never arrival order, so every reduction — like the World backend's
-// shared reducer after the same fix — is deterministic down to the last
-// bit regardless of scheduling or wire timing.
+// The transport seam: what a Comm needs from the substrate under it — a
+// per-pair FIFO link to every other rank that surfaces a dead peer as an
+// error — the chanTransport World hands its goroutine ranks, and
+// Connect/RunTransport for a process's rank of the socket subpackage's mesh.
 
 package par
 
@@ -22,13 +15,16 @@ import (
 // property Comm's tag matching and pending buffering assume — and must
 // surface dead peers and expired deadlines as errors wrapping
 // ErrRankLost so the fault layer treats a lost process exactly like a
-// lost in-process rank.
+// lost goroutine rank.
 type Transport interface {
 	// NRanks returns the world size; Rank this process's rank.
 	NRanks() int
 	Rank() int
-	// Send delivers data to rank to with the given tag. The payload may
-	// be reused by the caller after Send returns.
+	// Send delivers data to rank to with the given tag. The transport may
+	// hold on to data until the receiver has consumed it — the channel
+	// transport delivers the very slice — so the caller must not write to
+	// it before then; a transport that serialises (the socket) is done
+	// with it when Send returns.
 	Send(to, tag int, data []float64) error
 	// Recv returns the next message from rank from in arrival order,
 	// whatever its tag (the Comm layer does tag matching). timeout <= 0
@@ -39,228 +35,89 @@ type Transport interface {
 	Close() error
 }
 
-// Connect wraps a Transport into this process's rank handle. The
-// returned Comm supports the full World-mode surface — point-to-point
-// send/recv with tag matching, barrier, allreduce, FoldSum, gather,
-// broadcast, halo exchange — with identical deterministic semantics.
+// Connect wraps a Transport into this process's rank handle: the same
+// Comm, with the same deterministic semantics, that World.Run hands a
+// goroutine rank.
 func Connect(t Transport) *Comm {
-	return &Comm{tp: t, tpN: t.NRanks(), Rank: t.Rank(), pending: make(map[int][]message)}
-}
-
-// SetDeadline bounds every blocking operation of a transport-backed Comm
-// (the analogue of World.SetDeadline): an operation that waits longer
-// aborts with an error wrapping ErrRankLost. Zero disables the bound.
-// No-op on a World-backed Comm, whose deadline belongs to the World.
-func (c *Comm) SetDeadline(d time.Duration) {
-	if c.tp != nil {
-		c.tpDeadline = d
-	}
+	return &Comm{tp: t, n: t.NRanks(), Rank: t.Rank(), pending: make(map[int][]message)}
 }
 
 // RunTransport executes body as this process's rank of the transport's
 // world, converting rank aborts (lost peers, expired deadlines) into an
 // error exactly like World.RunErr does for goroutine ranks. Other panics
 // propagate unchanged.
-func RunTransport(t Transport, body func(c *Comm)) (err error) {
-	c := Connect(t)
-	defer func() {
-		if p := recover(); p != nil {
-			if a, ok := p.(rankAbort); ok {
-				err = fmt.Errorf("par: rank %d: %w", c.Rank, a.err)
-				return
-			}
-			panic(p)
-		}
-	}()
-	body(c)
-	return nil
+func RunTransport(t Transport, body func(c *Comm)) error {
+	bug, err := runRank(Connect(t), body)
+	if bug != nil {
+		panic(bug)
+	}
+	return err
 }
 
-// sendTp is Send over the transport backend. Every frame — user message
-// or collective plumbing — is accounted as delivered traffic; there is
-// no fault hook on a real wire, the wire itself fails.
-func (c *Comm) sendTp(to, tag int, data []float64) {
-	if to < 0 || to >= c.tpN {
-		panic(fmt.Sprintf("par: send to invalid rank %d", to))
-	}
-	c.Stats.Msgs++
-	c.ctrMsgs.Add(1)
-	if err := c.tp.Send(to, tag, data); err != nil {
-		panic(rankAbort{fmt.Errorf("par: send to rank %d tag %d: %w", to, tag, err)})
-	}
-	c.Stats.Delivered++
-	c.Stats.BytesSent += int64(8 * len(data))
-	c.ctrDelivered.Add(1)
-	c.ctrBytes.Add(int64(8 * len(data)))
+// chanTransport is one goroutine rank's end of a World: a buffered
+// channel per ordered pair, payloads passed by reference. A blocked
+// operation also waits on the world's lost-rank signal, so the death of
+// any rank fails it instead of hanging it.
+type chanTransport struct {
+	w     *World
+	rank  int
+	timer *time.Timer // bounds a Recv that has to wait; re-armed, never reallocated
 }
 
-// recvTp is RecvTimeout over the transport backend: drain frames from
-// the peer in arrival order, parking mismatched tags in pending, until
-// the wanted tag arrives or the link goes idle past timeout. The bound
-// applies per received frame — what it detects is a dead or wedged
-// peer; a peer still streaming frames (even mismatched tags) is making
-// FIFO progress toward the wanted one, so each arrival re-arms the
-// window. No absolute clock is read, keeping the package free of
-// wall-time dependence (the transport owns its own timer).
-func (c *Comm) recvTp(from, tag int, timeout time.Duration) ([]float64, error) {
-	if from < 0 || from >= c.tpN {
-		panic(fmt.Sprintf("par: recv from invalid rank %d", from))
-	}
-	q := c.pending[from]
-	for i, m := range q {
-		if m.tag == tag {
-			c.pending[from] = append(q[:i:i], q[i+1:]...)
-			c.countRecv(len(m.data))
-			return m.data, nil
-		}
-	}
-	for {
-		mt, data, err := c.tp.Recv(from, timeout)
-		if err != nil {
-			return nil, fmt.Errorf("par: recv from rank %d tag %d: %w", from, tag, err)
-		}
-		if mt == tag {
-			c.countRecv(len(data))
-			return data, nil
-		}
-		c.pending[from] = append(c.pending[from], message{tag: mt, data: data})
-	}
-}
+func (t *chanTransport) NRanks() int  { return t.w.N }
+func (t *chanTransport) Rank() int    { return t.rank }
+func (t *chanTransport) Close() error { return nil }
 
-// tpBarrier is the message-based barrier: fan-in to rank 0, fan-out
-// back. Per-pair FIFO plus tag matching make the ack a true release
-// edge — no rank leaves before every rank has entered.
-func (c *Comm) tpBarrier(timeout time.Duration) error {
-	if c.Rank == 0 {
-		for r := 1; r < c.tpN; r++ {
-			if _, err := c.recvTp(r, tagBarrier, timeout); err != nil {
-				return fmt.Errorf("par: barrier: %w", err)
-			}
-		}
-		for r := 1; r < c.tpN; r++ {
-			c.sendTp(r, tagBarrier, nil)
-		}
+// Send queues the frame in the receiver's inbox. Room in the inbox wins
+// whatever the state of the world, so the outcome never depends on which
+// select arm the runtime picks; only a full inbox waits, and a lost rank
+// ends that wait (its inbox will never drain).
+func (t *chanTransport) Send(to, tag int, data []float64) error {
+	inbox, m := t.w.chans[t.rank][to], message{tag: tag, data: data}
+	select {
+	case inbox <- m:
 		return nil
+	default:
 	}
-	c.sendTp(0, tagBarrier, nil)
-	if _, err := c.recvTp(0, tagBarrier, timeout); err != nil {
-		return fmt.Errorf("par: barrier: %w", err)
-	}
-	return nil
-}
-
-// tpAllreduceVec reduces elementwise at rank 0, folding contributions in
-// ascending rank order, then broadcasts the result.
-func (c *Comm) tpAllreduceVec(op ReduceOp, x []float64) ([]float64, error) {
-	if c.Rank != 0 {
-		c.sendTp(0, tagReduce, x)
-		return c.recvTp(0, tagReduceOut, c.tpDeadline)
-	}
-	acc := make([]float64, len(x))
-	copy(acc, x)
-	for r := 1; r < c.tpN; r++ {
-		part, err := c.recvTp(r, tagReduce, c.tpDeadline)
-		if err != nil {
-			return nil, err
-		}
-		if len(part) != len(acc) {
-			panic(fmt.Sprintf("par: allreduce length mismatch: %d vs %d", len(part), len(acc)))
-		}
-		foldVec(op, acc, part)
-	}
-	for r := 1; r < c.tpN; r++ {
-		c.sendTp(r, tagReduceOut, acc)
-	}
-	return acc, nil
-}
-
-// tpFoldSum gathers every rank's partials at rank 0, folds the
-// rank-order concatenation sequentially, and broadcasts the scalar.
-func (c *Comm) tpFoldSum(parts []float64) (float64, error) {
-	if c.Rank != 0 {
-		c.sendTp(0, tagFold, parts)
-		out, err := c.recvTp(0, tagFoldOut, c.tpDeadline)
-		if err != nil {
-			return 0, err
-		}
-		return out[0], nil
-	}
-	var s float64
-	for _, v := range parts {
-		s += v
-	}
-	for r := 1; r < c.tpN; r++ {
-		part, err := c.recvTp(r, tagFold, c.tpDeadline)
-		if err != nil {
-			return 0, err
-		}
-		for _, v := range part {
-			s += v
-		}
-	}
-	out := []float64{s}
-	for r := 1; r < c.tpN; r++ {
-		c.sendTp(r, tagFoldOut, out)
-	}
-	return s, nil
-}
-
-// tpGather collects every rank's slice at root in rank order.
-func (c *Comm) tpGather(root int, data []float64) [][]float64 {
-	if c.Rank != root {
-		c.sendTp(root, tagGather, data)
+	select {
+	case inbox <- m:
 		return nil
+	case <-t.w.lostCh:
+		return fmt.Errorf("inbox of rank %d is full: %w", to, ErrRankLost)
 	}
-	out := make([][]float64, c.tpN)
-	for r := 0; r < c.tpN; r++ {
-		if r == root {
-			buf := make([]float64, len(data))
-			copy(buf, data)
-			out[r] = buf
-			continue
-		}
-		part, err := c.recvTp(r, tagGather, c.tpDeadline)
-		if err != nil {
-			panic(rankAbort{fmt.Errorf("par: gather: %w", err)})
-		}
-		out[r] = part
-	}
-	return out
 }
 
-// tpBcast sends root's data to every rank.
-func (c *Comm) tpBcast(root int, data []float64) []float64 {
-	if c.Rank == root {
-		for r := 0; r < c.tpN; r++ {
-			if r != root {
-				c.sendTp(r, tagBcast, data)
-			}
-		}
-		out := make([]float64, len(data))
-		copy(out, data)
-		return out
+// Recv takes the next frame from the sender's channel. A queued frame is
+// returned without arming the timer, and still returned after a rank has
+// been lost: in-flight data outlives its sender. A wait re-arms the rank's
+// one timer, so what a Recv allocates does not follow goroutine timing.
+func (t *chanTransport) Recv(from int, timeout time.Duration) (int, []float64, error) {
+	inbox := t.w.chans[from][t.rank]
+	select {
+	case m := <-inbox:
+		return m.tag, m.data, nil
+	default:
 	}
-	out, err := c.recvTp(root, tagBcast, c.tpDeadline)
-	if err != nil {
-		panic(rankAbort{fmt.Errorf("par: bcast: %w", err)})
-	}
-	return out
-}
-
-// foldVec folds part into acc elementwise.
-func foldVec(op ReduceOp, acc, part []float64) {
-	for i, v := range part {
-		switch op {
-		case OpSum:
-			acc[i] += v
-		case OpMax:
-			if v > acc[i] {
-				acc[i] = v
-			}
-		case OpMin:
-			if v < acc[i] {
-				acc[i] = v
-			}
+	var expired <-chan time.Time
+	if timeout > 0 {
+		if t.timer == nil {
+			t.timer = time.NewTimer(timeout)
 		}
+		t.timer.Reset(timeout)
+		defer t.timer.Stop()
+		expired = t.timer.C
+	}
+	select {
+	case m := <-inbox:
+		return m.tag, m.data, nil
+	case <-expired:
+		return 0, nil, fmt.Errorf("timed out after %v: %w", timeout, ErrRankLost)
+	case <-t.w.lostCh:
+	}
+	select {
+	case m := <-inbox:
+		return m.tag, m.data, nil
+	default:
+		return 0, nil, ErrRankLost
 	}
 }

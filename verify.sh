@@ -91,12 +91,15 @@ cmp "$SUMS_DIR/on.txt" "$SUMS_DIR/off.txt"
 go run ./cmd/esmrun -hours 1 -atmlev 20 -oclev 8 -workers 1 -sums "$SUMS_DIR/atm-w1.txt" > /dev/null
 go run ./cmd/esmrun -hours 1 -atmlev 20 -oclev 8 -workers 4 -sums "$SUMS_DIR/atm-w4.txt" > /dev/null
 cmp "$SUMS_DIR/atm-w1.txt" "$SUMS_DIR/atm-w4.txt"
-# Transport smoke: four real rank processes over unix sockets must land
-# on the byte-identical fingerprint (the CI determinism job runs the full
-# ranks × transport matrix). Built to a binary first: the socket launcher
-# re-execs os.Executable(), which under `go run` is a temp path that may
-# vanish.
+# Transport smoke: the one par.Comm over both of its substrates — four
+# goroutine ranks over channels, four real rank processes over unix
+# sockets — must land on the byte-identical fingerprint (the CI
+# determinism job runs the full ranks × transport matrix). Built to a
+# binary first: the socket launcher re-execs os.Executable(), which under
+# `go run` is a temp path that may vanish.
 go build -o "$SUMS_DIR/esmrun" ./cmd/esmrun
+"$SUMS_DIR/esmrun" -hours 0.5 -ranks 4 -sums "$SUMS_DIR/inproc.txt" > /dev/null
+cmp "$SUMS_DIR/on.txt" "$SUMS_DIR/inproc.txt"
 "$SUMS_DIR/esmrun" -hours 0.5 -ranks 4 -transport socket -sums "$SUMS_DIR/socket.txt" > /dev/null
 cmp "$SUMS_DIR/on.txt" "$SUMS_DIR/socket.txt"
 rm -rf "$SUMS_DIR"

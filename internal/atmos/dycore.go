@@ -18,7 +18,8 @@ import (
 // model top.
 //
 // Every stage executes on the shared worker pool (internal/sched) as
-// NPROMA-blocked loops over cells, edges, columns or levels. Loop bodies
+// NPROMA-blocked loops over cells, edges, vertices or columns, each
+// walking the levels of its element innermost at unit stride. Loop bodies
 // are bound once at construction and parameters pass through struct
 // fields, so a steady-state step performs no per-dispatch allocation;
 // reductions and scatter loops are structured so results are bit-identical
@@ -52,20 +53,20 @@ type Dycore struct {
 	MassFluxEdge []float64
 	MassFluxVert []float64
 
-	// Scratch.
+	// Scratch. Every field is levels-innermost like the state: cell fields
+	// [c*nlev+k], edge fields [e*nlev+k], vertex fields [v*nlev+k].
 	thFluxEdge []float64 // ρθ flux at edges
-	rhoQ       []float64 // tracer transport workspace
-	// edgeShared is one edge×level workspace with two tenants that never
-	// overlap: the advective vn tendency (ζ+f)·vt − ∂n KE from predictor to
-	// corrector, then the tracer flux inside Transport.
-	edgeShared []float64
-	ke         []float64 // kinetic energy at cells
+	rhoQ       []float64 // the tracer sweep's output, copied back per tracer
+	// vnAdv is the advective vn tendency (ζ+f)·vt − ∂n KE at edges, stored
+	// by the predictor's tendency call and read by the corrector's.
+	vnAdv []float64
+	ke    []float64 // kinetic energy at cells
 	// Perot cell vectors, cell×level, one slice per component (the
 	// generated reconstruction kernels write and read these directly).
 	ucx, ucy, ucz      []float64
-	zeta               []float64 // vorticity at vertices, one stripe per level
+	zeta               []float64 // vorticity at vertices
 	vt                 []float64 // tangential velocity at edges
-	div                []float64 // divergence scratch, one stripe per level
+	div                []float64 // divergence of vn at cells (damping scratch)
 	vnPred             []float64
 	exnerNew           []float64
 	thA, thB, thC, thD []float64 // tridiagonal workspace, one stripe per worker slot
@@ -73,13 +74,13 @@ type Dycore struct {
 	// Pre-bound worker-pool bodies; per-call parameters pass through the
 	// fields below so dispatch stays allocation-free.
 	parKE, parUC, parVT         func(lo, hi int)
-	parTend, parDamp            func(lo, hi int)
+	parZeta, parTend            func(lo, hi int)
+	parDiv, parDamp             func(lo, hi int)
 	parPred, parFluxE, parFluxC func(lo, hi int)
 	parCorrExner, parCorrVn     func(lo, hi int)
 	parSponge                   func(lo, hi int)
 	parVSolve                   func(slot, lo, hi int)
-	parTrFluxE, parTrCell       func(lo, hi int)
-	parTrVert, parTrMix         func(lo, hi int)
+	parTrSweep, parTrCopy       func(lo, hi int)
 	parDt                       float64
 	tendExner, tendOut          []float64
 	tendReuse                   bool
@@ -101,7 +102,7 @@ func NewDycore(s *State) *Dycore {
 		MassFluxVert:   make([]float64, g.NCells*(nlev+1)),
 		thFluxEdge:     make([]float64, g.NEdges*nlev),
 		rhoQ:           make([]float64, g.NCells*nlev),
-		edgeShared:     make([]float64, g.NEdges*nlev),
+		vnAdv:          make([]float64, g.NEdges*nlev),
 		ke:             make([]float64, g.NCells*nlev),
 		ucx:            make([]float64, g.NCells*nlev),
 		ucy:            make([]float64, g.NCells*nlev),
@@ -171,27 +172,36 @@ func (d *Dycore) TangentialKernel() {
 }
 
 // vnTendencies computes the explicit horizontal momentum tendency into
-// out: (ζ+f)·vt − ∂n KE − Cpd·θ_e·∂n Π, using the supplied Exner field.
-// Levels are independent, so the level loop runs on the pool with one
-// vorticity stripe per level; within a level the edge-scatter order is
-// the serial one, keeping results worker-count-invariant. The advective
-// part (ζ+f)·vt − ∂n KE is left in d.edgeShared; with reuse set it is read
-// from there instead of recomputed, which is exact as long as vn, ke and
-// vt are those of the storing call (predictor → corrector).
+// out: (ζ+f)·vt − ∂n KE − Cpd·θ_e·∂n Π, using the supplied Exner field and
+// State.Theta, which must be current (it is after UpdateDiagnostics and
+// after the corrector's Exner refresh). Two sweeps, both walking levels
+// innermost over contiguous columns: a vertex pass gathers the vorticity
+// of each vertex from its incident edges in ascending edge order — the
+// arrival order of an edge-ordered scatter, so the sums round the same at
+// every block decomposition — and an edge pass combines the columns of the
+// edge's two cells and two vertices. The advective part (ζ+f)·vt − ∂n KE
+// is left in d.vnAdv; with reuse set it is read from there instead of
+// recomputed (no vertex pass), which is exact as long as vn, ke and vt are
+// those of the storing call (predictor → corrector).
 func (d *Dycore) vnTendencies(exner []float64, out []float64, reuse bool) {
 	d.tendExner, d.tendOut, d.tendReuse = exner, out, reuse
-	sched.Run(d.S.NLev, d.parTend)
+	if !reuse {
+		sched.Run(d.S.G.NVerts, d.parZeta)
+	}
+	sched.Run(d.S.G.NEdges, d.parTend)
 	d.tendExner, d.tendOut = nil, nil
 }
 
 // divergenceDamping adds κ·Δx²/Δt·∂n(div vn) to vn, suppressing acoustic
-// noise of the predictor–corrector (ICON's divergence damping).
+// noise of the predictor–corrector (ICON's divergence damping): a cell
+// pass fills d.div, an edge pass applies its gradient.
 func (d *Dycore) divergenceDamping(dt float64) {
 	if d.DivDamp == 0 {
 		return
 	}
 	d.parDt = dt
-	sched.Run(d.S.NLev, d.parDamp)
+	sched.Run(d.S.G.NCells, d.parDiv)
+	sched.Run(d.S.G.NEdges, d.parDamp)
 }
 
 // Step advances the prognostic state by dt seconds. The stages mirror the
@@ -270,39 +280,76 @@ func (d *Dycore) verticalSolve(dt float64) {
 func (d *Dycore) bindKernels() {
 	d.bindHotKernels()
 
+	d.parZeta = func(lo, hi int) {
+		s := d.S
+		g := s.G
+		nlev := s.NLev
+		for v := lo; v < hi; v++ {
+			z := d.zeta[v*nlev : (v+1)*nlev]
+			clear(z)
+			for _, e := range g.VertEdges[v] {
+				vn, dl := s.Vn[e*nlev:(e+1)*nlev], g.DualLength[e]
+				if g.EdgeVerts[e][0] == v {
+					dl = -dl // circulation is negative around an edge's first vertex; negation is exact
+				}
+				for k := range z {
+					z[k] += vn[k] * dl
+				}
+			}
+			area := g.DualArea[v]
+			for k := range z {
+				z[k] /= area
+			}
+		}
+	}
+
 	d.parTend = func(lo, hi int) {
 		s := d.S
 		g := s.G
 		nlev := s.NLev
-		exner, out, reuse := d.tendExner, d.tendOut, d.tendReuse
-		for k := lo; k < hi; k++ {
-			// Vorticity of this level, in its own stripe.
-			z := d.zeta[k*g.NVerts : (k+1)*g.NVerts]
-			adv := d.edgeShared[k*g.NEdges : (k+1)*g.NEdges] // level-major: unit stride here
+		exner, reuse := d.tendExner, d.tendReuse
+		for e := lo; e < hi; e++ {
+			c0, c1 := g.EdgeCells[e][0]*nlev, g.EdgeCells[e][1]*nlev
+			dl := g.DualLength[e]
+			adv := d.vnAdv[e*nlev : (e+1)*nlev]
 			if !reuse {
-				for v := range z {
-					z[v] = 0
-				}
-				for e, vv := range g.EdgeVerts {
-					contrib := s.Vn[e*nlev+k] * g.DualLength[e]
-					z[vv[0]] -= contrib
-					z[vv[1]] += contrib
-				}
-				for v := range z {
-					z[v] /= g.DualArea[v]
+				v0, v1 := g.EdgeVerts[e][0]*nlev, g.EdgeVerts[e][1]*nlev
+				ke0, ke1 := d.ke[c0:c0+nlev], d.ke[c1:c1+nlev]
+				z0, z1 := d.zeta[v0:v0+nlev], d.zeta[v1:v1+nlev]
+				vt, f := d.vt[e*nlev:(e+1)*nlev], d.fEdge[e]
+				for k := range adv {
+					gradKE := (ke1[k] - ke0[k]) / dl
+					zetaE := 0.5 * (z0[k] + z1[k])
+					adv[k] = (zetaE+f)*vt[k] - gradKE
 				}
 			}
-			for e := 0; e < g.NEdges; e++ {
-				c0, c1 := g.EdgeCells[e][0], g.EdgeCells[e][1]
-				i0, i1 := c0*nlev+k, c1*nlev+k
-				gradPi := (exner[i1] - exner[i0]) / g.DualLength[e]
-				thetaE := 0.5 * (s.RhoTheta[i0]/s.Rho[i0] + s.RhoTheta[i1]/s.Rho[i1])
-				if !reuse {
-					gradKE := (d.ke[i1] - d.ke[i0]) / g.DualLength[e]
-					zetaE := 0.5 * (z[g.EdgeVerts[e][0]] + z[g.EdgeVerts[e][1]])
-					adv[e] = (zetaE+d.fEdge[e])*d.vt[e*nlev+k] - gradKE
+			out := d.tendOut[e*nlev : (e+1)*nlev]
+			ex0, ex1 := exner[c0:c0+nlev], exner[c1:c1+nlev]
+			th0, th1 := s.Theta[c0:c0+nlev], s.Theta[c1:c1+nlev]
+			for k := range out {
+				gradPi := (ex1[k] - ex0[k]) / dl
+				thetaE := 0.5 * (th0[k] + th1[k])
+				out[k] = adv[k] - Cpd*thetaE*gradPi
+			}
+		}
+	}
+
+	d.parDiv = func(lo, hi int) {
+		s := d.S
+		g := s.G
+		nlev := s.NLev
+		for c := lo; c < hi; c++ {
+			dv := d.div[c*nlev : (c+1)*nlev]
+			clear(dv)
+			for i, e := range g.CellEdges[c] {
+				vn, o, l := s.Vn[e*nlev:(e+1)*nlev], float64(g.EdgeOrient[c][i]), g.EdgeLength[e]
+				for k := range dv {
+					dv[k] += o * vn[k] * l
 				}
-				out[e*nlev+k] = adv[e] - Cpd*thetaE*gradPi
+			}
+			area := g.CellArea[c]
+			for k := range dv {
+				dv[k] /= area
 			}
 		}
 	}
@@ -312,20 +359,14 @@ func (d *Dycore) bindKernels() {
 		g := s.G
 		nlev := s.NLev
 		dt := d.parDt
-		for k := lo; k < hi; k++ {
-			dv := d.div[k*g.NCells : (k+1)*g.NCells]
-			for c := 0; c < g.NCells; c++ {
-				var sum float64
-				for i, e := range g.CellEdges[c] {
-					sum += float64(g.EdgeOrient[c][i]) * s.Vn[e*nlev+k] * g.EdgeLength[e]
-				}
-				dv[c] = sum / g.CellArea[c]
-			}
-			for e := 0; e < g.NEdges; e++ {
-				c0, c1 := g.EdgeCells[e][0], g.EdgeCells[e][1]
-				dx := g.DualLength[e]
-				coef := d.DivDamp * dx * dx / dt
-				s.Vn[e*nlev+k] += dt * coef * (dv[c1] - dv[c0]) / dx
+		for e := lo; e < hi; e++ {
+			c0, c1 := g.EdgeCells[e][0]*nlev, g.EdgeCells[e][1]*nlev
+			dx := g.DualLength[e]
+			coef := d.DivDamp * dx * dx / dt
+			vn := s.Vn[e*nlev : (e+1)*nlev]
+			dv0, dv1 := d.div[c0:c0+nlev], d.div[c1:c1+nlev]
+			for k := range vn {
+				vn[k] += dt * coef * (dv1[k] - dv0[k]) / dx
 			}
 		}
 	}
@@ -352,9 +393,9 @@ func (d *Dycore) bindKernels() {
 				// Upstream-biased θ for stability: donor cell by flux sign.
 				var thUp float64
 				if f >= 0 {
-					thUp = s.RhoTheta[c0*nlev+k] / s.Rho[c0*nlev+k]
+					thUp = s.Theta[c0*nlev+k]
 				} else {
-					thUp = s.RhoTheta[c1*nlev+k] / s.Rho[c1*nlev+k]
+					thUp = s.Theta[c1*nlev+k]
 				}
 				d.thFluxEdge[e*nlev+k] = f * thUp
 			}

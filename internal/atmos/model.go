@@ -22,19 +22,48 @@ type Model struct {
 
 	rhoOld []float64
 	steps  int
+
+	// The step's launches, bound once by NewModel in launch order; the
+	// step's arguments and the physics' result pass through the fields
+	// below, so a steady-state Step allocates nothing.
+	kernels []exec.Kernel
+	dt      float64
+	bc      SurfaceBC
+	fluxes  *SurfaceFluxes
 }
 
 // NewModel assembles the atmosphere on grid g with the given vertical
 // coordinate, executing on dev.
 func NewModel(g *grid.Grid, vert *vertical.Atmosphere, dev *exec.Device) *Model {
 	s := NewState(g, vert)
-	return &Model{
+	m := &Model{
 		State:  s,
 		Dyn:    NewDycore(s),
 		Phys:   NewPhysics(s),
 		Dev:    dev,
 		rhoOld: make([]float64, g.NCells*vert.NLev),
 	}
+	d := m.Dyn
+	run := map[string]func(){
+		"dycore:diag":       func() { s.UpdateDiagnostics() },
+		"dycore:ekinh":      func() { d.KineticEnergyKernel() },
+		"dycore:tangential": func() { d.TangentialKernel() },
+		"dycore:vn_pred":    func() { d.StagePredictor(m.dt) },
+		"dycore:hflux":      func() { d.StageHorizontalFluxes(m.dt) },
+		"dycore:vsolve":     func() { d.StageVertical(m.dt) },
+		"dycore:vn_corr":    func() { d.StageCorrector(m.dt) },
+		"dycore:damp":       func() { d.StageDamping(m.dt) },
+		"transport":         func() { d.Transport(m.dt, m.rhoOld) },
+		"radiation":         func() { m.Rad.Step(s, m.dt, m.bc) },
+		"physics":           func() { m.fluxes = m.Phys.Step(m.dt, m.bc) },
+	}
+	for _, f := range launches {
+		if run[f.name] == nil {
+			panic("atmos: no kernel bound for launch " + f.name)
+		}
+		m.kernels = append(m.kernels, exec.Kernel{Name: f.name, Bytes: m.bytes(f), Reads: f.reads, Writes: f.writes, Run: run[f.name]})
+	}
+	return m
 }
 
 // footprint is the declared access set of one launch: modelled DRAM
@@ -46,14 +75,15 @@ type footprint struct {
 	reads, writes []string
 }
 
-// launches lists the kernels of one step in launch order. Step charges
-// these figures and BytesPerStep sums them, so the two cannot disagree.
+// launches lists the kernels of one step in launch order. NewModel binds
+// one exec.Kernel to each, Step charges these figures and BytesPerStep
+// sums them, so the three cannot disagree.
 var launches = []footprint{
 	{"dycore:diag", 4, 0, []string{"rho", "rhotheta"}, []string{"exner", "theta"}},
 	{"dycore:ekinh", 1, 1, []string{"vn"}, []string{"ke"}},
 	{"dycore:tangential", 1, 2, []string{"vn"}, []string{"vt"}},
-	{"dycore:vn_pred", 3, 3, []string{"vn", "exner", "ke", "vt", "rho", "rhotheta"}, []string{"vn_pred", "vn_adv"}},
-	{"dycore:hflux", 4, 4, []string{"vn", "vn_pred", "rho", "rhotheta"}, []string{"rho", "rhotheta", "massflux"}},
+	{"dycore:vn_pred", 3, 3, []string{"vn", "exner", "ke", "vt", "theta"}, []string{"vn_pred", "vn_adv"}},
+	{"dycore:hflux", 4, 4, []string{"vn", "vn_pred", "rho", "rhotheta", "theta"}, []string{"rho", "rhotheta", "massflux"}},
 	{"dycore:vsolve", 6, 0, []string{"rho", "rhotheta", "w"}, []string{"w", "rho", "rhotheta", "massflux_v"}},
 	{"dycore:vn_corr", 5, 3, []string{"vn", "exner", "rho", "rhotheta", "vn_adv"}, []string{"vn", "exner", "theta"}},
 	{"dycore:damp", 1, 2, []string{"vn", "w"}, []string{"vn", "w"}},
@@ -68,41 +98,20 @@ func (m *Model) bytes(f footprint) float64 {
 	return (f.cells*float64(s.G.NCells) + f.edges*float64(s.G.NEdges)) * float64(s.NLev*8)
 }
 
-// launch submits run to the device under the named entry of launches.
-func (m *Model) launch(name string, run func()) {
-	for _, f := range launches {
-		if f.name == name {
-			m.Dev.Launch(exec.Kernel{Name: name, Bytes: m.bytes(f), Reads: f.reads, Writes: f.writes, Run: run})
-			return
-		}
-	}
-	panic("atmos: no footprint declared for launch " + name)
-}
-
 // Step advances the atmosphere by dt, launching the dycore stages, tracer
 // transport and physics as device kernels, and returns the surface fluxes
 // for the coupler (valid until the next Step).
 func (m *Model) Step(dt float64, bc SurfaceBC) *SurfaceFluxes {
-	d := m.Dyn
-	s := m.State
-	copy(m.rhoOld, s.Rho)
-
-	m.launch("dycore:diag", func() { s.UpdateDiagnostics() })
-	m.launch("dycore:ekinh", func() { d.KineticEnergyKernel() })
-	m.launch("dycore:tangential", func() { d.TangentialKernel() })
-	m.launch("dycore:vn_pred", func() { d.StagePredictor(dt) })
-	m.launch("dycore:hflux", func() { d.StageHorizontalFluxes(dt) })
-	m.launch("dycore:vsolve", func() { d.StageVertical(dt) })
-	m.launch("dycore:vn_corr", func() { d.StageCorrector(dt) })
-	m.launch("dycore:damp", func() { d.StageDamping(dt) })
-	m.launch("transport", func() { d.Transport(dt, m.rhoOld) })
-	if m.Rad != nil {
-		m.launch("radiation", func() { m.Rad.Step(m.State, dt, bc) })
+	copy(m.rhoOld, m.State.Rho)
+	m.dt, m.bc, m.fluxes = dt, bc, nil
+	for _, k := range m.kernels {
+		if k.Name != "radiation" || m.Rad != nil {
+			m.Dev.Launch(k)
+		}
 	}
-	var fluxes *SurfaceFluxes
-	m.launch("physics", func() { fluxes = m.Phys.Step(dt, bc) })
+	m.bc = SurfaceBC{}
 	m.steps++
-	return fluxes
+	return m.fluxes
 }
 
 // Steps returns the number of completed steps.

@@ -11,15 +11,31 @@ import (
 	"icoearth/internal/vertical"
 )
 
-// The reference below is the atmosphere step as it stood before pressure,
-// latitude functions, Exner and the advective vn tendency were computed
-// once and shared: every consumer evaluates its own math.Pow / math.Cos,
-// the vertical solve evaluates Exner twice per level, the corrector
-// rebuilds vorticity and the KE gradient, and damping ends with a full
-// diagnostics refresh. It runs serially on its own Model and reuses only
-// the production stages this sharing did not touch (ekinh, tangential,
-// horizontal fluxes, the vn updates, damping, sponge, transport). The
+// The reference below is the atmosphere step with none of its sharing and
+// none of its blocking: every consumer evaluates its own math.Pow / math.Cos
+// and divides its own ρθ/ρ, the vertical solve evaluates Exner twice per
+// level, the corrector rebuilds vorticity and the KE gradient, the momentum
+// and damping loops are level-outer with an edge-ordered vorticity scatter,
+// tracer transport is four passes per tracer through an edge flux array,
+// and damping ends with a full diagnostics refresh. It runs serially on its
+// own Model and reuses only production stages that have not changed since
+// (ekinh, tangential, the flux divergence, the vn updates, sponge). The
 // production step must reproduce it bit for bit.
+
+// refExner, refPressure and refTEq are the thermodynamic functions written
+// with math.Pow, as they stood before they became Pow's own arithmetic.
+func refExner(rhoTheta float64) float64 { return math.Pow(Rd*rhoTheta/P0, Rd/Cvd) }
+
+func refPressure(exner float64) float64 { return P0 * math.Pow(exner, Cpd/Rd) }
+
+func refTEq(h HeldSuarez, cos2, sin2, p float64) float64 {
+	sig := p / P0
+	t := (315 - h.DeltaT*sin2 - h.DeltaZ*math.Log(sig)*cos2) * math.Pow(sig, Rd/Cpd)
+	if t < 200 {
+		t = 200
+	}
+	return t
+}
 
 // refVnTendencies is the recomputing momentum tendency.
 func refVnTendencies(d *Dycore, exner, out []float64) {
@@ -47,6 +63,116 @@ func refVnTendencies(d *Dycore, exner, out []float64) {
 	}
 }
 
+// refDiag is UpdateDiagnostics on refExner.
+func refDiag(s *State) {
+	for i := range s.Rho {
+		s.Exner[i] = refExner(s.RhoTheta[i])
+		s.Theta[i] = s.RhoTheta[i] / s.Rho[i]
+	}
+}
+
+// refFluxE is the edge flux sweep with the donor θ divided out of ρθ/ρ.
+func refFluxE(d *Dycore) {
+	s, g, nlev := d.S, d.S.G, d.S.NLev
+	for e := 0; e < g.NEdges; e++ {
+		c0, c1 := g.EdgeCells[e][0], g.EdgeCells[e][1]
+		for k := 0; k < nlev; k++ {
+			vnAvg := 0.5 * (s.Vn[e*nlev+k] + d.vnPred[e*nlev+k])
+			rhoE := 0.5 * (s.Rho[c0*nlev+k] + s.Rho[c1*nlev+k])
+			f := vnAvg * rhoE
+			d.MassFluxEdge[e*nlev+k] = f
+			var thUp float64
+			if f >= 0 {
+				thUp = s.RhoTheta[c0*nlev+k] / s.Rho[c0*nlev+k]
+			} else {
+				thUp = s.RhoTheta[c1*nlev+k] / s.Rho[c1*nlev+k]
+			}
+			d.thFluxEdge[e*nlev+k] = f * thUp
+		}
+	}
+}
+
+// refDivergenceDamping is the level-outer damping: the divergence of one
+// level in a cell-indexed stripe, then its gradient onto vn.
+func refDivergenceDamping(d *Dycore, dt float64) {
+	s, g, nlev := d.S, d.S.G, d.S.NLev
+	dv := make([]float64, g.NCells)
+	for k := 0; k < nlev; k++ {
+		for c := 0; c < g.NCells; c++ {
+			var sum float64
+			for i, e := range g.CellEdges[c] {
+				sum += float64(g.EdgeOrient[c][i]) * s.Vn[e*nlev+k] * g.EdgeLength[e]
+			}
+			dv[c] = sum / g.CellArea[c]
+		}
+		for e := 0; e < g.NEdges; e++ {
+			c0, c1 := g.EdgeCells[e][0], g.EdgeCells[e][1]
+			dx := g.DualLength[e]
+			coef := d.DivDamp * dx * dx / dt
+			s.Vn[e*nlev+k] += dt * coef * (dv[c1] - dv[c0]) / dx
+		}
+	}
+}
+
+// refTransport is tracer transport as four passes per tracer: donor-cell
+// fluxes into an edge array, their divergence per cell, the vertical upwind
+// per column, and the mixing-ratio update in place.
+func refTransport(d *Dycore, dt float64, rhoOld []float64) {
+	s, g, nlev := d.S, d.S.G, d.S.NLev
+	qFlux := make([]float64, g.NEdges*nlev)
+	rhoQ := make([]float64, g.NCells*nlev)
+	for _, q := range s.Tracers {
+		for e := 0; e < g.NEdges; e++ {
+			c0, c1 := g.EdgeCells[e][0], g.EdgeCells[e][1]
+			for k := 0; k < nlev; k++ {
+				f := d.MassFluxEdge[e*nlev+k]
+				var qUp float64
+				if f >= 0 {
+					qUp = q[c0*nlev+k]
+				} else {
+					qUp = q[c1*nlev+k]
+				}
+				qFlux[e*nlev+k] = f * qUp
+			}
+		}
+		for c := 0; c < g.NCells; c++ {
+			for k := 0; k < nlev; k++ {
+				var df float64
+				for i, e := range g.CellEdges[c] {
+					df += float64(g.EdgeOrient[c][i]) * g.EdgeLength[e] * qFlux[e*nlev+k]
+				}
+				i := c*nlev + k
+				rhoQ[i] = rhoOld[i]*q[i] - dt*df/g.CellArea[c]
+			}
+		}
+		for c := 0; c < g.NCells; c++ {
+			base, wbase := c*nlev, c*(nlev+1)
+			var fAbove float64
+			for k := 0; k < nlev; k++ {
+				var fBelow float64
+				if k < nlev-1 {
+					mf := d.MassFluxVert[wbase+k+1]
+					var qUp float64
+					if mf >= 0 {
+						qUp = q[base+k+1]
+					} else {
+						qUp = q[base+k]
+					}
+					fBelow = mf * qUp
+				}
+				rhoQ[base+k] += dt * (fBelow - fAbove) / s.Vert.LayerThickness(k)
+				fAbove = fBelow
+			}
+		}
+		for i := range q {
+			q[i] = rhoQ[i] / s.Rho[i]
+			if q[i] < 0 {
+				q[i] = 0
+			}
+		}
+	}
+}
+
 // refVerticalSolve is the implicit solve with both Exner values of every
 // interface evaluated in place.
 func refVerticalSolve(d *Dycore, dt float64) {
@@ -61,8 +187,8 @@ func refVerticalSolve(d *Dycore, dt float64) {
 			psiUp := 0.5 * (s.RhoTheta[i0] + s.RhoTheta[i1])
 			dzi := vert.IfaceGap(k)
 			beta := dt * Cpd * thI / dzi * wgt
-			exner0 := ExnerFromRhoTheta(s.RhoTheta[i0])
-			exner1 := ExnerFromRhoTheta(s.RhoTheta[i1])
+			exner0 := refExner(s.RhoTheta[i0])
+			exner1 := refExner(s.RhoTheta[i1])
 			gam0 := (Rd / Cvd) * exner0 / s.RhoTheta[i0]
 			gam1 := (Rd / Cvd) * exner1 / s.RhoTheta[i1]
 			dz0, dz1 := vert.LayerThickness(k-1), vert.LayerThickness(k)
@@ -107,11 +233,11 @@ func refPhysics(p *Physics, dt float64, bc SurfaceBC) *SurfaceFluxes {
 	fl := NewSurfaceFluxes(g.NCells)
 	for c := 0; c < g.NCells; c++ {
 		lat, _ := g.CellCenter[c].LatLon()
-		psfc := Pressure(s.Exner[c*nlev+nlev-1])
+		psfc := refPressure(s.Exner[c*nlev+nlev-1])
 		for k := 0; k < nlev; k++ {
 			i := c*nlev + k
 			exn := s.Exner[i]
-			pres := Pressure(exn)
+			pres := refPressure(exn)
 			sig := pres / psfc
 			T := s.Theta[i] * exn
 			cos4 := math.Pow(math.Cos(lat), 4)
@@ -119,7 +245,8 @@ func refPhysics(p *Physics, dt float64, bc SurfaceBC) *SurfaceFluxes {
 			if sig > p.HS.SigmaB {
 				kt += (p.HS.Ks - p.HS.Ka) * cos4 * (sig - p.HS.SigmaB) / (1 - p.HS.SigmaB)
 			}
-			teq := p.HS.TEq(lat, pres)
+			cos2 := math.Cos(lat) * math.Cos(lat)
+			teq := refTEq(p.HS, cos2, 1-cos2, pres)
 			T -= dt * kt * (T - teq)
 			if p.MoistureOn {
 				qv := s.Tracers[TracerQV][i]
@@ -153,9 +280,9 @@ func refPhysics(p *Physics, dt float64, bc SurfaceBC) *SurfaceFluxes {
 	}
 	for e := 0; e < g.NEdges; e++ {
 		c0, c1 := g.EdgeCells[e][0], g.EdgeCells[e][1]
-		psfc := 0.5 * (Pressure(s.Exner[c0*nlev+nlev-1]) + Pressure(s.Exner[c1*nlev+nlev-1]))
+		psfc := 0.5 * (refPressure(s.Exner[c0*nlev+nlev-1]) + refPressure(s.Exner[c1*nlev+nlev-1]))
 		for k := 0; k < nlev; k++ {
-			pres := 0.5 * (Pressure(s.Exner[c0*nlev+k]) + Pressure(s.Exner[c1*nlev+k]))
+			pres := 0.5 * (refPressure(s.Exner[c0*nlev+k]) + refPressure(s.Exner[c1*nlev+k]))
 			sig := pres / psfc
 			if sig <= p.HS.SigmaB {
 				continue
@@ -169,7 +296,7 @@ func refPhysics(p *Physics, dt float64, bc SurfaceBC) *SurfaceFluxes {
 		i := c*nlev + kl
 		exn := s.Exner[i]
 		T := s.Theta[i] * exn
-		pres := Pressure(exn)
+		pres := refPressure(exn)
 		var ke float64
 		for j, e := range g.CellEdges[c] {
 			v := s.Vn[e*nlev+kl]
@@ -208,34 +335,42 @@ func refPhysics(p *Physics, dt float64, bc SurfaceBC) *SurfaceFluxes {
 func refStep(m *Model, dt float64, bc SurfaceBC) *SurfaceFluxes {
 	s, d := m.State, m.Dyn
 	copy(m.rhoOld, s.Rho)
-	s.UpdateDiagnostics()
+	refDiag(s)
 	d.KineticEnergyKernel()
 	d.TangentialKernel()
 	refVnTendencies(d, s.Exner, d.vnPred)
 	d.parDt = dt
 	sched.Run(len(d.vnPred), d.parPred)
-	d.StageHorizontalFluxes(dt)
+	refFluxE(d)
+	sched.Run(s.G.NCells, d.parFluxC)
 	refVerticalSolve(d, dt)
 	for i := range d.exnerNew {
-		d.exnerNew[i] = 0.5 * (s.Exner[i] + ExnerFromRhoTheta(s.RhoTheta[i]))
+		d.exnerNew[i] = 0.5 * (s.Exner[i] + refExner(s.RhoTheta[i]))
 	}
 	refVnTendencies(d, d.exnerNew, d.vnPred)
-	d.parDt = dt
 	sched.Run(len(s.Vn), d.parCorrVn)
-	d.divergenceDamping(dt)
+	refDivergenceDamping(d, dt)
 	d.sponge(dt)
-	s.UpdateDiagnostics()
-	d.Transport(dt, m.rhoOld)
+	refDiag(s)
+	refTransport(d, dt, m.rhoOld)
 	return refPhysics(m.Phys, dt, bc)
 }
 
 // oracleModel builds the fixture the byte-equality tests step: R2B2, 12
 // levels, baroclinic jet, moisture on, and a lower boundary that mixes
 // open water and land with a meridional surface-temperature gradient.
-func oracleModel() (*Model, SurfaceBC) {
+func oracleModel() (*Model, SurfaceBC) { return oracleModelLevels(12) }
+
+// oracleModelLevels is the fixture at another level count; one level is a
+// single 30 km layer, which vertical.NewAtmosphere does not build.
+func oracleModelLevels(nlev int) (*Model, SurfaceBC) {
 	g := grid.New(grid.R2B(2))
+	vert := &vertical.Atmosphere{NLev: 1, Top: 30000, ZIface: []float64{30000, 0}, ZFull: []float64{15000}, DecayScale: 15000}
+	if nlev > 1 {
+		vert = vertical.NewAtmosphere(nlev, 30000, 300)
+	}
 	dev := exec.NewDevice(exec.DeviceSpec{Name: "gpu", MemBW: 1e12, LaunchLatency: 1e-6, HalfSatBytes: 1e6, PowerIdle: 10, PowerMax: 100})
-	m := NewModel(g, vertical.NewAtmosphere(12, 30000, 300), dev)
+	m := NewModel(g, vert, dev)
 	m.State.InitBaroclinic(288, 30)
 	m.State.InitTracers()
 	bc := SurfaceBC{Tsfc: make([]float64, g.NCells), IsWater: make([]bool, g.NCells)}
@@ -287,35 +422,94 @@ func requireSameBits(t *testing.T, what string, got, want map[string][]float64) 
 // TestStepMatchesRecomputingReference: six model steps with moisture, a
 // mixed water/land boundary and a baroclinic flow leave every field and
 // every step's surface fluxes bit-equal to the recomputing reference, at
-// pool widths 1 and 4.
+// pool widths 1 and 4 — from a one-level column, where no vertical
+// interface exists, to 20 levels.
 func TestStepMatchesRecomputingReference(t *testing.T) {
 	defer sched.SetWorkers(0)
 	const dt, steps = 150.0, 6
-	sched.SetWorkers(1)
-	ref, bc := oracleModel()
-	var refFluxes []*SurfaceFluxes
-	for n := 0; n < steps; n++ {
-		refFluxes = append(refFluxes, refStep(ref, dt, bc))
-	}
-	if err := ref.State.CheckFinite(); err != nil {
-		t.Fatal(err)
-	}
-	var rained, evaporated bool
-	for c := range refFluxes[steps-1].Precip {
-		rained = rained || refFluxes[steps-1].Precip[c] > 0
-		evaporated = evaporated || refFluxes[steps-1].Evaporation[c] > 0
-	}
-	if !rained || !evaporated {
-		t.Fatalf("fixture does not exercise the water cycle: rained=%v evaporated=%v", rained, evaporated)
-	}
-	for _, width := range []int{1, 4} {
-		sched.SetWorkers(width)
-		m, _ := oracleModel()
+	for _, nlev := range []int{1, 2, 6, 12, 20} {
+		sched.SetWorkers(1)
+		ref, bc := oracleModelLevels(nlev)
+		var refFluxes []*SurfaceFluxes
 		for n := 0; n < steps; n++ {
-			fl := m.Step(dt, bc)
-			requireSameBits(t, fmt.Sprintf("workers=%d step %d fluxes", width, n), fluxFields(fl), fluxFields(refFluxes[n]))
+			refFluxes = append(refFluxes, refStep(ref, dt, bc))
 		}
-		requireSameBits(t, fmt.Sprintf("workers=%d", width), modelFields(m), modelFields(ref))
+		if err := ref.State.CheckFinite(); err != nil {
+			t.Fatalf("nlev=%d: %v", nlev, err)
+		}
+		var rained, evaporated bool
+		for c := range refFluxes[steps-1].Precip {
+			rained = rained || refFluxes[steps-1].Precip[c] > 0
+			evaporated = evaporated || refFluxes[steps-1].Evaporation[c] > 0
+		}
+		if nlev == 12 && (!rained || !evaporated) {
+			t.Fatalf("fixture does not exercise the water cycle: rained=%v evaporated=%v", rained, evaporated)
+		}
+		for _, width := range []int{1, 4} {
+			sched.SetWorkers(width)
+			m, _ := oracleModelLevels(nlev)
+			for n := 0; n < steps; n++ {
+				fl := m.Step(dt, bc)
+				requireSameBits(t, fmt.Sprintf("nlev=%d workers=%d step %d fluxes", nlev, width, n), fluxFields(fl), fluxFields(refFluxes[n]))
+			}
+			requireSameBits(t, fmt.Sprintf("nlev=%d workers=%d", nlev, width), modelFields(m), modelFields(ref))
+		}
+	}
+}
+
+// TestUpwindTiesMatchReference: a zero mass flux carries nothing whichever
+// side donates, so on finite fields the two arms of an upwind select agree
+// and the step comparison above cannot tell `>=` from `>`. An infinite
+// donor makes the choice visible — 0·Inf is NaN, 0·finite is 0 — so this
+// plants zero fluxes of both signs next to infinite θ and tracer values
+// and compares the flux and transport sweeps with their references.
+func TestUpwindTiesMatchReference(t *testing.T) {
+	const dt = 150.0
+	m, bc := oracleModel()
+	ref, _ := oracleModel()
+	for n := 0; n < 2; n++ {
+		m.Step(dt, bc)
+		refStep(ref, dt, bc)
+	}
+	m.State.UpdateDiagnostics() // the flux sweep reads a current Theta
+	refDiag(ref.State)
+	for _, x := range []*Model{m, ref} {
+		s, d := x.State, x.Dyn
+		zero := math.Copysign(0, -1)
+		for i := 0; i < len(s.Vn); i += 3 {
+			zero = -zero
+			s.Vn[i], d.vnPred[i] = zero, zero
+		}
+		for i := 0; i < len(d.MassFluxVert); i += 5 {
+			zero = -zero
+			d.MassFluxVert[i] = zero
+		}
+		for i := 0; i < len(s.Rho); i += 7 {
+			s.RhoTheta[i], s.Theta[i] = math.Inf(1), math.Inf(1)
+			for _, q := range s.Tracers {
+				q[i] = math.Inf(1)
+			}
+		}
+	}
+	fields := func(x *Model) map[string][]float64 {
+		f := modelFields(x)
+		f["thflux"] = x.Dyn.thFluxEdge
+		return f
+	}
+	sched.Run(m.State.G.NEdges, m.Dyn.parFluxE)
+	refFluxE(ref.Dyn)
+	requireSameBits(t, "flux sweep", fields(m), fields(ref))
+	m.Dyn.Transport(dt, m.rhoOld)
+	refTransport(ref.Dyn, dt, ref.rhoOld)
+	requireSameBits(t, "transport", fields(m), fields(ref))
+	var nans int
+	for _, v := range m.State.Tracers[TracerCO2] {
+		if math.IsNaN(v) {
+			nans++
+		}
+	}
+	if nans == 0 {
+		t.Fatal("no zero flux met an infinite donor: the ties are not exercised")
 	}
 }
 

@@ -38,10 +38,12 @@ func (h HeldSuarez) TEq(lat, p float64) float64 {
 }
 
 // teq is TEq on cos²(lat) and sin²(lat) = 1 − cos²(lat), which the column
-// sweep takes from a per-cell table.
+// sweep takes from a per-cell table. σ^κ is Exp(κ·Log σ) on the Log the ΔZ
+// term needs anyway: math.Pow(σ, Rd/Cpd) to the bit, by the argument on
+// ExnerFromRhoTheta.
 func (h HeldSuarez) teq(cos2, sin2, p float64) float64 {
-	sig := p / P0
-	t := (315 - h.DeltaT*sin2 - h.DeltaZ*math.Log(sig)*cos2) * math.Pow(sig, Rd/Cpd)
+	ls := math.Log(p / P0)
+	t := (315 - h.DeltaT*sin2 - h.DeltaZ*ls*cos2) * math.Exp(Rd/Cpd*ls)
 	if t < 200 {
 		t = 200
 	}

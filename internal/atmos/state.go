@@ -57,7 +57,13 @@ type State struct {
 
 	// Diagnostics (updated every step).
 	Exner []float64 // Exner pressure Π at cells
-	Theta []float64 // θ = ρθ/ρ
+	// Theta is θ. UpdateDiagnostics (the step's first launch) and the
+	// corrector's Exner refresh set it to RhoTheta/Rho, and until ρ or ρθ is
+	// next written the predictor, the horizontal flux sweep and the
+	// corrector read it in place of that quotient. Physics and radiation
+	// store the θ they computed and rebuild RhoTheta from it, so from there
+	// to the next refresh it is the quotient to rounding only.
+	Theta []float64
 
 	// Accumulated surface precipitation flux per cell (kg/m², since start).
 	PrecipAccum []float64
@@ -89,22 +95,49 @@ func NewState(g *grid.Grid, vert *vertical.Atmosphere) *State {
 }
 
 // ExnerFromRhoTheta computes Π = (Rd·ρθ/p0)^(Rd/Cvd), the equation of
-// state of the ρθ formulation.
+// state of the ρθ formulation. The body is math.Pow(x, Rd/Cvd) with its
+// dead branches removed: for an exponent in (0, ½) Pow's integer part is
+// zero, its squaring loop does not run and its closing Ldexp(·, 0) is the
+// identity, leaving Exp(y·Log(x)) — the same bits for every x but −Inf
+// (NaN here, +Inf from Pow), which is outside the domain: ρθ is positive
+// or CheckFinite has already failed the step.
 func ExnerFromRhoTheta(rhoTheta float64) float64 {
-	return math.Pow(Rd*rhoTheta/P0, Rd/Cvd)
+	return math.Exp(Rd / Cvd * math.Log(Rd*rhoTheta/P0))
 }
 
 // Pressure returns p = p0·Π^(Cpd/Rd).
 func Pressure(exner float64) float64 {
-	return P0 * math.Pow(exner, Cpd/Rd)
+	return P0 * pow35(exner)
+}
+
+// pow35 is math.Pow(x, 3.5) (Cpd/Rd is 3.5 exactly) unrolled: Pow splits
+// the exponent into 3 + ½, takes x^½ as Exp(½·Log(x)) and x³ as two
+// mantissa products from Frexp with the binary exponents summed for one
+// closing Ldexp. Same operations in the same order, so the same bits for
+// every x but −0 (−0 here, +0 from Pow) and −Inf (NaN here, +Inf from
+// Pow); Exner is positive, and neither result is physical.
+func pow35(x float64) float64 {
+	a1 := math.Exp(0.5 * math.Log(x))
+	x1, xe := math.Frexp(x)
+	a1 *= x1 // bit 0 of 3
+	ae := xe
+	x1 *= x1
+	xe <<= 1
+	if x1 < .5 {
+		x1 += x1
+		xe--
+	}
+	a1 *= x1 // bit 1 of 3
+	ae += xe
+	return math.Ldexp(a1, ae)
 }
 
 // Temperature returns T = θ·Π.
 func Temperature(theta, exner float64) float64 { return theta * exner }
 
 // UpdateDiagnostics refreshes Exner and Theta from the prognostics. The
-// update is elementwise (one math.Pow per cell-level) and runs on the
-// worker pool.
+// update is elementwise (one Log and one Exp per cell-level) and runs on
+// the worker pool.
 func (s *State) UpdateDiagnostics() {
 	if s.parDiag == nil {
 		s.parDiag = func(lo, hi int) {

@@ -8,23 +8,22 @@ import "icoearth/internal/sched"
 // constant mixing ratio stays exactly constant, and total tracer mass is
 // conserved to round-off (no sources).
 //
-// Each tracer runs four worker-pool sweeps: edge fluxes, horizontal
-// divergence per cell, vertical upwind per column, and the mixing-ratio
-// update — all writes are disjoint per index, so results do not depend on
-// the worker count.
+// Each tracer is one cell sweep: a cell's column is finished completely —
+// horizontal donor-cell fluxes of its three edges, vertical upwind, the
+// new mixing ratio — with levels innermost. The sweep reads neighbour
+// columns of the old field only and writes d.rhoQ, which a second pool
+// pass copies back, so no block reads a half-updated neighbour and
+// results do not depend on the worker count.
 //
 // rhoOld must be the density field from before the dycore step.
 func (d *Dycore) Transport(dt float64, rhoOld []float64) {
 	s := d.S
-	g := s.G
 	d.parDt = dt
 	d.trRhoOld = rhoOld
 	for t := 0; t < NumTracers; t++ {
 		d.trQ = s.Tracers[t]
-		sched.Run(g.NEdges, d.parTrFluxE)
-		sched.Run(g.NCells, d.parTrCell)
-		sched.Run(g.NCells, d.parTrVert)
-		sched.Run(len(d.trQ), d.parTrMix)
+		sched.Run(s.G.NCells, d.parTrSweep)
+		sched.Run(len(d.trQ), d.parTrCopy)
 	}
 	d.trQ, d.trRhoOld = nil, nil
 }
@@ -32,81 +31,59 @@ func (d *Dycore) Transport(dt float64, rhoOld []float64) {
 // bindTransport builds the tracer-advection loop bodies (called once from
 // bindKernels).
 func (d *Dycore) bindTransport() {
-	d.parTrFluxE = func(lo, hi int) {
-		g := d.S.G
-		nlev := d.S.NLev
-		q := d.trQ
-		massFlux, qFlux := d.MassFluxEdge, d.edgeShared
-		for e := lo; e < hi; e++ {
-			c0, c1 := g.EdgeCells[e][0], g.EdgeCells[e][1]
-			for k := 0; k < nlev; k++ {
-				f := massFlux[e*nlev+k]
-				var qUp float64
-				if f >= 0 {
-					qUp = q[c0*nlev+k]
-				} else {
-					qUp = q[c1*nlev+k]
-				}
-				qFlux[e*nlev+k] = f * qUp
-			}
-		}
-	}
-
-	d.parTrCell = func(lo, hi int) {
-		g := d.S.G
-		nlev := d.S.NLev
-		q, rhoOld, dt := d.trQ, d.trRhoOld, d.parDt
-		qFlux, rhoQ := d.edgeShared, d.rhoQ
-		for c := lo; c < hi; c++ {
-			cellEdges, orient := g.CellEdges[c], g.EdgeOrient[c]
-			for k := 0; k < nlev; k++ {
-				var df float64
-				for i, e := range cellEdges {
-					df += float64(orient[i]) * g.EdgeLength[e] * qFlux[e*nlev+k]
-				}
-				i := c*nlev + k
-				rhoQ[i] = rhoOld[i]*q[i] - dt*df/g.CellArea[c]
-			}
-		}
-	}
-
-	// Vertical upwind with the implicit mass flux; columns are independent.
-	d.parTrVert = func(lo, hi int) {
+	d.parTrSweep = func(lo, hi int) {
 		s := d.S
+		g := s.G
 		nlev := s.NLev
 		q, dt := d.trQ, d.parDt
-		massFluxVert, rhoQ := d.MassFluxVert, d.rhoQ
 		for c := lo; c < hi; c++ {
 			base := c * nlev
-			wbase := c * (nlev + 1)
+			// out first accumulates the horizontal flux divergence Σᵢ oᵢlᵢ·F(eᵢ),
+			// edge by edge in the cell's edge order, each edge's tracer flux
+			// f·q_donor recomputed from the old columns of its two cells.
+			out := d.rhoQ[base : base+nlev]
+			clear(out)
+			for i, e := range g.CellEdges[c] {
+				ol := float64(g.EdgeOrient[c][i]) * g.EdgeLength[e]
+				c0, c1 := g.EdgeCells[e][0]*nlev, g.EdgeCells[e][1]*nlev
+				mf, q0, q1 := d.MassFluxEdge[e*nlev:(e+1)*nlev], q[c0:c0+nlev], q[c1:c1+nlev]
+				for k, f := range mf {
+					qUp := q1[k]
+					if f >= 0 {
+						qUp = q0[k]
+					}
+					out[k] += ol * (f * qUp)
+				}
+			}
+			// Then ρq after the horizontal step, the vertical upwind with the
+			// implicit mass flux, and the new mixing ratio against the
+			// updated density.
+			area := g.CellArea[c]
+			qc, rhoOld, rho := q[base:base+nlev], d.trRhoOld[base:base+nlev], s.Rho[base:base+nlev]
+			mfv := d.MassFluxVert[c*(nlev+1) : (c+1)*(nlev+1)]
 			var fAbove float64 // tracer mass flux through interface k
-			for k := 0; k < nlev; k++ {
+			for k := range out {
 				var fBelow float64
 				if k < nlev-1 {
-					mf := massFluxVert[wbase+k+1]
-					var qUp float64
-					if mf >= 0 { // upward: donor is the level below (k+1)
-						qUp = q[base+k+1]
-					} else {
-						qUp = q[base+k]
+					qUp := qc[k]
+					if mfv[k+1] >= 0 { // upward: donor is the level below (k+1)
+						qUp = qc[k+1]
 					}
-					fBelow = mf * qUp
+					fBelow = mfv[k+1] * qUp
 				}
-				dz := s.Vert.LayerThickness(k)
-				rhoQ[base+k] += dt * (fBelow - fAbove) / dz
+				rq := rhoOld[k]*qc[k] - dt*out[k]/area
+				rq += dt * (fBelow - fAbove) / s.Vert.LayerThickness(k)
 				fAbove = fBelow
+				qn := rq / rho[k]
+				if qn < 0 {
+					qn = 0 // clip round-off negatives from the donor scheme
+				}
+				out[k] = qn
 			}
 		}
 	}
 
-	// New mixing ratio against the updated density.
-	d.parTrMix = func(lo, hi int) {
-		q, rhoQ, rho := d.trQ, d.rhoQ, d.S.Rho
-		for i := lo; i < hi; i++ {
-			q[i] = rhoQ[i] / rho[i]
-			if q[i] < 0 {
-				q[i] = 0 // clip round-off negatives from the donor scheme
-			}
-		}
+	d.parTrCopy = func(lo, hi int) {
+		copy(d.trQ[lo:hi], d.rhoQ[lo:hi])
 	}
 }

@@ -53,9 +53,10 @@ go test -tags sdfgdebug ./internal/sdfg/
 # (the long-haul integration batteries are too slow under the race
 # runtime); the concurrency-critical packages then rerun un-short so
 # their full suites — pool stress, halo exchange, supervised recovery —
-# execute under the detector.
+# execute under the detector, and the atmosphere and ocean so their
+# vertex, edge and cell sweeps are shown to write disjoint columns.
 go test -race -short ./...
-go test -race ./internal/sched/... ./internal/par/... ./internal/par/socket/... ./internal/exec/... ./internal/coupler/... ./internal/fault/... ./internal/restart/...
+go test -race ./internal/sched/... ./internal/par/... ./internal/par/socket/... ./internal/exec/... ./internal/coupler/... ./internal/fault/... ./internal/restart/... ./internal/atmos/... ./internal/ocean/...
 go test ./...
 # Chaos smoke: a supervised run with injected faults must complete with
 # conservation intact (tiny grid; exercises crash, rollback, retry; the

@@ -48,8 +48,8 @@ type SuperviseHooks struct {
 // SuperviseConfig configures supervised execution. Zero values get
 // sensible defaults (see NewSupervisor).
 type SuperviseConfig struct {
-	// Dir is the checkpoint directory; two generation subdirectories are
-	// alternated beneath it.
+	// Dir is the root of the durable checkpoint store (restart.Store):
+	// sequence-numbered generation subdirectories, the newest two kept.
 	Dir string
 	// NFiles is the writer-file count per checkpoint (default 3).
 	NFiles int

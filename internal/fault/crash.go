@@ -86,7 +86,7 @@ func (ks KillSpec) String() string {
 // Arm installs the kill point. Window kills wrap the supervisor's
 // BeforeWindow hook (existing hooks run first); site kills install the
 // restart package's kill hook, which the durable writer invokes from
-// whichever goroutine runs the write — SIGKILL works from any of them.
+// whichever goroutine called the write — SIGKILL works from any of them.
 // Arm before the run starts; the hook stays until the process dies.
 func (ks KillSpec) Arm(cfg *coupler.SuperviseConfig) {
 	if ks.Site == "" {
@@ -101,9 +101,11 @@ func (ks KillSpec) Arm(cfg *coupler.SuperviseConfig) {
 		}
 		return
 	}
-	// Only the single background writer (or the caller, in sync mode)
-	// reaches the barriers, and writes are joined before the next one
-	// starts, so this counter needs no lock.
+	// The barriers fire on the goroutine that called the store's write —
+	// the single background writer, or the caller in sync mode — never on
+	// the per-shard goroutines it fans out to, which have all joined
+	// before the first barrier; and a write is joined before the next one
+	// starts. So this counter needs no lock.
 	occurrences := 0
 	restart.SetKillHook(func(site string) {
 		if site != ks.Site {

@@ -2,7 +2,6 @@ package restart
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -49,16 +48,9 @@ func (a *AsyncOutput) server(id int) {
 		s := NewSnapshot()
 		s.Add(job.name, job.data)
 		path := filepath.Join(a.dir, fmt.Sprintf("out_%s_%06d_s%d.bin", job.name, job.step, id))
-		f, err := os.Create(path)
-		if err != nil {
-			select {
-			case a.errs <- err:
-			default:
-			}
-			continue
-		}
-		n, err := writeFile(f, s, s.names(), 1, s.Checksum())
-		f.Close()
+		// One single-shard restart file, hashed once; a failed create,
+		// write or close all arrive here.
+		n, _, err := writeShards(s, []string{path}, false)
 		atomic.AddInt64(&a.written, n)
 		if err != nil {
 			select {

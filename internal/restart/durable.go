@@ -184,14 +184,11 @@ func (st *Store) write(s *Snapshot, window, nfiles int) (int64, string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, "", err
 	}
-	n, err := writeFiles(s, dir, nfiles, true)
+	n, nshards, sum, err := writeMulti(s, dir, nfiles, true)
 	if err != nil {
 		return n, dir, err
 	}
-	meta := GenMeta{Seq: st.seq, Window: window, NFiles: nfiles, Sum: s.Checksum(), Bytes: n}
-	if meta.NFiles > len(s.Fields) {
-		meta.NFiles = len(s.Fields) // writeFiles clamps; the manifest must agree
-	}
+	meta := GenMeta{Seq: st.seq, Window: window, NFiles: nshards, Sum: sum, Bytes: n}
 	if err := writeManifest(dir, meta); err != nil {
 		return n, dir, err
 	}
@@ -315,22 +312,20 @@ func loadGen(g genDir) (*Snapshot, GenMeta, error) {
 		return nil, meta, fmt.Errorf("restart: %d of %d shards present: %w",
 			len(paths), meta.NFiles, ErrCorrupt)
 	}
-	snap, err := ReadMultiFile(g.dir)
+	snap, got, err := readMulti(g.dir)
 	if err != nil {
 		return nil, meta, err
 	}
-	if got := snap.Checksum(); got != meta.Sum {
+	if got != meta.Sum {
 		return nil, meta, fmt.Errorf("restart: snapshot checksum %016x, manifest records %016x: %w",
 			got, meta.Sum, ErrCorrupt)
 	}
 	return snap, meta, nil
 }
 
-// writeManifest emits the generation manifest: a small text record whose
-// last line is a CRC64 over every preceding byte, written with the same
-// temp → fsync → rename protocol as the shards. It goes last: its rename
-// is the commit point that makes the generation exist.
-func writeManifest(dir string, m GenMeta) error {
+// encodeManifest renders the manifest: a small text record whose last
+// line is a CRC64 over every preceding byte.
+func encodeManifest(m GenMeta) []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "icoearth-manifest v1\n")
 	fmt.Fprintf(&b, "seq %d\n", m.Seq)
@@ -339,13 +334,20 @@ func writeManifest(dir string, m GenMeta) error {
 	fmt.Fprintf(&b, "snapsum %016x\n", m.Sum)
 	fmt.Fprintf(&b, "bytes %d\n", m.Bytes)
 	fmt.Fprintf(&b, "crc %016x\n", crc64.Checksum(b.Bytes(), crcTable))
+	return b.Bytes()
+}
+
+// writeManifest emits the generation manifest with the same temp → fsync
+// → rename protocol as the shards. It goes last: its rename is the commit
+// point that makes the generation exist.
+func writeManifest(dir string, m GenMeta) error {
 	path := filepath.Join(dir, manifestName)
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(b.Bytes())
+	_, err = f.Write(encodeManifest(m))
 	if err == nil {
 		err = f.Sync()
 	}
@@ -389,13 +391,11 @@ func readManifest(path string) (GenMeta, error) {
 	if len(lines) < 1 || lines[0] != "icoearth-manifest v1" {
 		return m, fmt.Errorf("restart: manifest version line %q: %w", lines[0], ErrCorrupt)
 	}
-	seen := map[string]bool{}
 	for _, line := range lines[1:] {
 		key, val, ok := strings.Cut(line, " ")
 		if !ok {
 			return m, fmt.Errorf("restart: manifest line %q: %w", line, ErrCorrupt)
 		}
-		seen[key] = true
 		switch key {
 		case "seq":
 			m.Seq, err = strconv.ParseUint(val, 10, 64)
@@ -414,10 +414,11 @@ func readManifest(path string) (GenMeta, error) {
 			return m, fmt.Errorf("restart: manifest line %q: %w", line, ErrCorrupt)
 		}
 	}
-	for _, key := range []string{"seq", "window", "files", "snapsum", "bytes"} {
-		if !seen[key] {
-			return m, fmt.Errorf("restart: manifest missing %q: %w", key, ErrCorrupt)
-		}
+	// Only what the writer can have written is a manifest: a missing,
+	// repeated or reordered key, or another spelling of a value, is damage
+	// the CRC happened to survive.
+	if !bytes.Equal(encodeManifest(m), raw) {
+		return m, fmt.Errorf("restart: manifest is not in the writer's form: %w", ErrCorrupt)
 	}
 	return m, nil
 }

@@ -135,13 +135,27 @@ func corruptSites(t *testing.T, dir string) map[string]func() {
 				t.Fatal(err)
 			}
 		}
+		if strings.HasPrefix(name, "restart_") {
+			// One high bit of the header's field count: 2^36 more fields
+			// than the file has bytes. Must be rejected, not allocated for.
+			sites[name+"/hugecount"] = func() {
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw[24+4] ^= 0x10
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
 	return sites
 }
 
 // TestStoreFallsBackOnEveryCorruptionSite: damage the newest generation
-// at every site (manifest and each shard × truncate/bitflip/missing) and
-// assert the previous generation is restored with the rejection reported.
+// at every site (manifest and each shard × truncate/bitflip/missing, each
+// shard × an impossible field count) and assert the previous generation is restored with the rejection reported.
 func TestStoreFallsBackOnEveryCorruptionSite(t *testing.T) {
 	root := t.TempDir()
 	probe, err := OpenStore(root, 2)
@@ -151,7 +165,7 @@ func TestStoreFallsBackOnEveryCorruptionSite(t *testing.T) {
 	writeGen(t, probe, 0)
 	writeGen(t, probe, 1)
 	newest := probe.scan()[0].dir
-	siteNames := make([]string, 0, 12)
+	siteNames := make([]string, 0, 15)
 	for name := range corruptSites(t, newest) {
 		siteNames = append(siteNames, name)
 	}

@@ -100,8 +100,12 @@ func readShare(dir string, rank, nReaders int) (*Snapshot, error) {
 	sort.Strings(paths)
 	s := NewSnapshot()
 	for i := rank; i < len(paths); i += nReaders {
-		if _, err := readFile(paths[i], s); err != nil {
+		_, fields, err := readShard(paths[i])
+		if err != nil {
 			return nil, err
+		}
+		for _, f := range fields {
+			s.Fields[f.name] = f.data
 		}
 	}
 	return s, nil

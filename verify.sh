@@ -4,8 +4,9 @@
 #   ./verify.sh         tier-1: cleanliness + static analysis + short tests,
 #                       over the root module and the nested benchmark module
 #   ./verify.sh full    tier-2: adds sdfgdebug assertions, the race detector,
-#                       the full test suite, and the chaos, crash-resume,
-#                       determinism and transport smokes
+#                       the full test suite, 10 s of each fuzz target, and
+#                       the chaos, crash-resume, determinism and transport
+#                       smokes
 #
 # Performance is not checked here: the repo benchmark (BENCHMARK.json,
 # `bash benchmark/run.sh`) is measured on parent and change on one host.
@@ -58,6 +59,11 @@ go test -tags sdfgdebug ./internal/sdfg/
 go test -race -short ./...
 go test -race ./internal/sched/... ./internal/par/... ./internal/par/socket/... ./internal/exec/... ./internal/coupler/... ./internal/fault/... ./internal/restart/... ./internal/atmos/... ./internal/ocean/...
 go test ./...
+# Fuzz the two parsers of on-disk checkpoint bytes, 10 s each (tier-1 ran
+# their checked-in corpora as plain tests): no panic, no allocation beyond
+# a small multiple of the input, an accepted input re-encodes to itself.
+go test ./internal/restart -run '^$' -fuzz '^FuzzReadShard$' -fuzztime 10s
+go test ./internal/restart -run '^$' -fuzz '^FuzzReadManifest$' -fuzztime 10s
 # Chaos smoke: a supervised run with injected faults must complete with
 # conservation intact (tiny grid; exercises crash, rollback, retry; the
 # coupling window overlapped — the default).

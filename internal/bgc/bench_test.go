@@ -1,6 +1,7 @@
 package bgc
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -15,12 +16,46 @@ func BenchmarkEcosystemKernel(b *testing.B) {
 	}
 }
 
-func BenchmarkCarbonateSolver(b *testing.B) {
+func BenchmarkSinkingKernel(b *testing.B) {
+	oc, _, s := testSetup()
+	p := DefaultParams()
+	b.SetBytes(int64(8 * 3 * oc.NOcean() * oc.NLev))
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, co2 := SolveCarbonate(2.05, 2.35, 15); co2 <= 0 {
-			b.Fatal("bad solve")
-		}
+		s.SinkingKernel(600, &p)
 	}
+}
+
+var carbonateSink float64
+
+// BenchmarkCarbonateSolver times one solve (60 bisection steps) per op over
+// inputs that vary from solve to solve, as the kernel's do: with one fixed
+// triple the branch predictor learns all 60 outcomes of the scalar solver
+// and it reads a third faster than it runs in the kernel. "lanes" is the
+// production solver (four solves per call), "scalar" the retired one.
+func BenchmarkCarbonateSolver(b *testing.B) {
+	const n = 1 << 10 // a multiple of lanes
+	rng := rand.New(rand.NewSource(1))
+	var dic, alk, tC [n]float64
+	for i := range dic {
+		dic[i] = 1.9 + 0.4*rng.Float64()
+		alk[i] = dic[i] * (1.05 + 0.1*rng.Float64())
+		tC[i] = -2 + 32*rng.Float64()
+	}
+	b.Run("lanes", func(b *testing.B) {
+		for i := 0; i < b.N; i += lanes {
+			j := i % n
+			_, co2 := solveCarbonateLanes((*[lanes]float64)(dic[j:]), (*[lanes]float64)(alk[j:]), (*[lanes]float64)(tC[j:]))
+			carbonateSink += co2[0]
+		}
+	})
+	b.Run("scalar", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			j := i % n
+			_, co2 := oracleSolveCarbonate(dic[j], alk[j], tC[j])
+			carbonateSink += co2
+		}
+	})
 }
 
 func BenchmarkAirSeaFlux(b *testing.B) {

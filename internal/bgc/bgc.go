@@ -66,16 +66,11 @@ type State struct {
 	// positive = into the ocean), kept for coupling and diagnostics.
 	LastCO2Flux []float64
 
-	// Pre-bound worker-pool bodies (lazily built on first kernel call);
-	// per-call parameters pass through the fields below so the steady-state
-	// dispatch is allocation-free.
-	parEco, parSink func(lo, hi int)
-	ecoDt           float64
-	ecoP            *Params
-	ecoSw           []float64
-	sinkQ           []float64
-	sinkDt          float64
-	sinkP           *Params
+	// Pre-bound worker-pool bodies (see bind), the arguments of the kernel
+	// call in flight, and the per-level tables (see levelTables).
+	parEco, parSink, parAirSea func(lo, hi int)
+	args                       kernelArgs
+	tab                        levelTables
 }
 
 // NewState allocates and initialises the biogeochemical tracers with

@@ -133,6 +133,12 @@ type EarthSystem struct {
 	landCO2   []float64 // per global cell, land → atmosphere flux of current window
 	sfcFlux   []float64 // per global cell, gpuStep's surface tracer flux scratch
 
+	// Built once so that the steady-state window does not allocate them:
+	// swDown on compact ocean indexing, and gpuStep's land forcing (every
+	// field of it is rewritten each step).
+	swOcean   []float64
+	landForce *land.Forcing
+
 	// Window accumulation of atmosphere fluxes (per global cell).
 	accHeat, accFresh, accStress, accSpeed []float64
 	accCount                               int
@@ -208,6 +214,8 @@ func New(cfg Config, gpu, cpu *exec.Device) *EarthSystem {
 		es.x.open[b] = make([]bool, nOc)
 	}
 	es.swDown = make([]float64, n)
+	es.swOcean = make([]float64, nOc)
+	es.landForce = land.NewForcing(es.Land.State.NLand())
 	es.pco2Ocean = make([]float64, nOc)
 	es.landCO2 = make([]float64, n)
 	es.sfcFlux = make([]float64, n)
@@ -221,6 +229,9 @@ func New(cfg Config, gpu, cpu *exec.Device) *EarthSystem {
 	for c := 0; c < n; c++ {
 		lat, _ := g.CellCenter[c].LatLon()
 		es.swDown[c] = math.Max(0, 340*math.Cos(lat)*math.Cos(lat))
+	}
+	for i, c := range es.Oc.State.Cells {
+		es.swOcean[i] = es.swDown[c]
 	}
 	es.refreshSurfaceBC()
 	es.updateAtmosPCO2()
@@ -397,7 +408,7 @@ func (es *EarthSystem) cpuSide(nOc int, dt float64) (err error) {
 		if e := es.Oc.Step(dt, force); e != nil {
 			return fmt.Errorf("coupler: ocean failed: %w", e)
 		}
-		es.Bgc.Step(dt, es.Oc.Dyn, es.swOcean(), es.pco2Ocean,
+		es.Bgc.Step(dt, es.Oc.Dyn, es.swOcean, es.pco2Ocean,
 			force.WindSpeed, es.Oc.State.IceFrac)
 	}
 	es.foldOceanToAtm()
@@ -426,7 +437,7 @@ func (es *EarthSystem) gpuStep(dt float64) {
 	fl := es.Atm.Step(dt, es.bc)
 
 	// Land forcing from this very step (per-timestep coupling).
-	lf := land.NewForcing(ld.NLand())
+	lf := es.landForce
 	for i, c := range ld.Cells {
 		lf.SWDown[i] = es.swDown[c]
 		lf.TAir[i] = es.Atm.State.Theta[c*es.Atm.State.NLev+es.Atm.State.NLev-1] *
@@ -483,15 +494,6 @@ func (es *EarthSystem) gpuStep(dt float64) {
 			es.riverBuffer[oi] += kgps * dt
 		}
 	}
-}
-
-// swOcean returns the insolation proxy on compact ocean indexing.
-func (es *EarthSystem) swOcean() []float64 {
-	out := make([]float64, es.Oc.State.NOcean())
-	for i, c := range es.Oc.State.Cells {
-		out[i] = es.swDown[c]
-	}
-	return out
 }
 
 // foldAtmToOcean is the GPU side's half of the asynchronous exchange

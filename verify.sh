@@ -54,10 +54,10 @@ go test -tags sdfgdebug ./internal/sdfg/
 # (the long-haul integration batteries are too slow under the race
 # runtime); the concurrency-critical packages then rerun un-short so
 # their full suites — pool stress, halo exchange, supervised recovery —
-# execute under the detector, and the atmosphere and ocean so their
+# execute under the detector, and the atmosphere, ocean and BGC so their
 # vertex, edge and cell sweeps are shown to write disjoint columns.
 go test -race -short ./...
-go test -race ./internal/sched/... ./internal/par/... ./internal/par/socket/... ./internal/exec/... ./internal/coupler/... ./internal/fault/... ./internal/restart/... ./internal/atmos/... ./internal/ocean/...
+go test -race ./internal/sched/... ./internal/par/... ./internal/par/socket/... ./internal/exec/... ./internal/coupler/... ./internal/fault/... ./internal/restart/... ./internal/atmos/... ./internal/ocean/... ./internal/bgc/...
 go test ./...
 # Fuzz the two parsers of on-disk checkpoint bytes, 10 s each (tier-1 ran
 # their checked-in corpora as plain tests): no panic, no allocation beyond

@@ -2,9 +2,12 @@ package ocean
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"icoearth/internal/grid"
+	"icoearth/internal/par"
+	"icoearth/internal/sched"
 	"icoearth/internal/vertical"
 )
 
@@ -50,6 +53,39 @@ func BenchmarkBarotropicCG(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDistSolve is the benchmark's dist_cg shape on live goroutine
+// ranks: R2B5, two aligned ranks over one par.World, b.N solves of one
+// system on each (the pool at the benchmark's width, min(nproc, 4)).
+func BenchmarkDistSolve(b *testing.B) {
+	s, _, _ := benchOcean(5, 8)
+	sched.SetWorkers(min(runtime.NumCPU(), 4))
+	defer sched.SetWorkers(0)
+	rhs := make([]float64, s.NOcean())
+	for i := range rhs {
+		rhs[i] = math.Sin(float64(i) * 0.013)
+	}
+	d := alignedDecomposition(b, s, 2)
+	par.NewWorld(2).Run(func(c *par.Comm) {
+		db, err := NewDistBarotropic(s, 600, d, c)
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		eta := make([]float64, s.NOcean())
+		c.Barrier()
+		if c.Rank == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			clear(eta)
+			if _, err := db.Solve(rhs, eta, 1e-8, 4000); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // benchTracers builds n smooth tracer fields over an ocean that has taken

@@ -1,12 +1,17 @@
 package ocean
 
 import (
+	"errors"
 	"math"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"icoearth/internal/exec"
 	"icoearth/internal/grid"
 	"icoearth/internal/par"
+	"icoearth/internal/par/socket"
 	"icoearth/internal/vertical"
 )
 
@@ -184,41 +189,96 @@ func TestDistributedCGMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestDistributedCGBitIdenticalAligned is the tentpole contract: with
-// rank cuts aligned to the serial reduction blocks (AlignedCuts), the
-// distributed solve must reproduce the serial solution — and iteration
-// count — bit for bit, on every rank.
-func TestDistributedCGBitIdenticalAligned(t *testing.T) {
-	s := testOcean()
-	const dt = 600
-	op := NewBarotropicOp(s, dt)
+// runRanks runs body as every rank of an nranks world: goroutine ranks over
+// channels, or — mesh — one socket.Transport per rank in this process.
+func runRanks(t *testing.T, nranks int, mesh bool, body func(c *par.Comm)) {
+	t.Helper()
+	if !mesh {
+		par.NewWorld(nranks).Run(body)
+		return
+	}
+	dir := t.TempDir()
+	errs := make([]error, nranks)
+	var wg sync.WaitGroup
+	for r := 0; r < nranks; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			tp, err := socket.New(dir, r, nranks, 5*time.Second)
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			errs[r] = par.RunTransport(tp, func(c *par.Comm) {
+				c.SetDeadline(10 * time.Second)
+				body(c)
+				c.Barrier() // no rank closes its sockets under a peer's last receive
+			})
+			tp.Close()
+		}(r)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// alignedSystem is the test ocean's serial operator with a manufactured
+// right-hand side and the serial solution at tol 1e-8.
+func alignedSystem(t *testing.T) (s *State, rhs, etaSerial []float64, stSerial SolveStats) {
+	t.Helper()
+	s = testOcean()
+	op := NewBarotropicOp(s, 600)
 	n := s.NOcean()
 	want := make([]float64, n)
 	for i := range want {
 		want[i] = math.Sin(float64(i) * 0.01)
 	}
-	rhs := make([]float64, n)
+	rhs = make([]float64, n)
 	op.Apply(want, rhs)
-	etaSerial := make([]float64, n)
+	etaSerial = make([]float64, n)
 	stSerial, err := op.Solve(rhs, etaSerial, 1e-8, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s, rhs, etaSerial, stSerial
+}
 
-	for _, nranks := range []int{1, 2, 4, 7} {
-		cuts, err := AlignedCuts(s, nranks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := grid.DecomposeAt(s.G, cuts)
-		if err != nil {
-			t.Fatal(err)
-		}
+func alignedDecomposition(t testing.TB, s *State, nranks int) *grid.Decomposition {
+	t.Helper()
+	cuts, err := AlignedCuts(s, nranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := grid.DecomposeAt(s.G, cuts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestDistributedCGBitIdenticalAligned is the tentpole contract: with
+// rank cuts aligned to the serial reduction blocks (AlignedCuts), the
+// distributed solve must reproduce the serial solution — and iteration
+// count — bit for bit, on every rank, over channels and over a socket
+// mesh. At 4 and 7 ranks the block split is uneven, so the paired fold
+// carries partial lists of unequal length.
+func TestDistributedCGBitIdenticalAligned(t *testing.T) {
+	const dt = 600
+	s, rhs, etaSerial, stSerial := alignedSystem(t)
+	n := s.NOcean()
+
+	for _, tc := range []struct {
+		nranks int
+		mesh   bool
+	}{{1, false}, {2, false}, {4, false}, {7, false}, {2, true}, {4, true}} {
+		nranks := tc.nranks
+		d := alignedDecomposition(t, s, nranks)
 		results := make([][]float64, nranks)
 		iters := make([]int, nranks)
 		fracs := make([]float64, nranks)
-		w := par.NewWorld(nranks)
-		w.Run(func(c *par.Comm) {
+		nblk := make([]int, nranks)
+		runRanks(t, nranks, tc.mesh, func(c *par.Comm) {
 			db, err := NewDistBarotropic(s, dt, d, c)
 			if err != nil {
 				t.Error(err)
@@ -233,19 +293,23 @@ func TestDistributedCGBitIdenticalAligned(t *testing.T) {
 			results[c.Rank] = eta
 			iters[c.Rank] = st.Iterations
 			fracs[c.Rank] = db.CG.OverlapFrac()
+			nblk[c.Rank] = db.CG.nBlk
 		})
+		if nranks == 7 && slices.Max(nblk) == slices.Min(nblk) {
+			t.Errorf("nranks=7: every rank holds %d reduction blocks; the paired fold wants unequal lists", nblk[0])
+		}
 		for r, eta := range results {
 			if eta == nil {
-				t.Fatalf("nranks=%d rank %d produced no result", nranks, r)
+				t.Fatalf("nranks=%d mesh=%v rank %d produced no result", nranks, tc.mesh, r)
 			}
 			if iters[r] != stSerial.Iterations {
-				t.Errorf("nranks=%d rank %d: %d iterations, serial took %d",
-					nranks, r, iters[r], stSerial.Iterations)
+				t.Errorf("nranks=%d mesh=%v rank %d: %d iterations, serial took %d",
+					nranks, tc.mesh, r, iters[r], stSerial.Iterations)
 			}
 			for i := range eta {
 				if eta[i] != etaSerial[i] {
-					t.Fatalf("nranks=%d rank %d: eta[%d] = %x, serial %x — not bit-identical",
-						nranks, r, i, eta[i], etaSerial[i])
+					t.Fatalf("nranks=%d mesh=%v rank %d: eta[%d] = %x, serial %x — not bit-identical",
+						nranks, tc.mesh, r, i, eta[i], etaSerial[i])
 				}
 			}
 			// Interior rows are what hide the halo exchange; a rank that
@@ -255,6 +319,91 @@ func TestDistributedCGBitIdenticalAligned(t *testing.T) {
 					nranks, r, fracs[r])
 			}
 		}
+	}
+}
+
+// TestAllreducesMatchModel: a distributed solve performs the collectives
+// the performance model charges it — 2·Iterations + 2, Model.Step's
+// CGAllreduces and internal/perf's "2 allreduces per iteration". Each rank
+// steps a replicated Model with the distributed solver installed, as
+// esmrun does.
+func TestAllreducesMatchModel(t *testing.T) {
+	g := grid.New(grid.R2B(2))
+	mask := grid.NewMask(g)
+	par.NewWorld(2).Run(func(c *par.Comm) {
+		dev := exec.NewDevice(exec.DeviceSpec{Name: "cpu", MemBW: 4e11, HalfSatBytes: 1e6, PowerIdle: 50, PowerMax: 250})
+		m := NewModel(g, mask, vertical.NewOcean(8, 4000, 60), 600, dev)
+		db, err := NewDistBarotropic(m.State, 600, alignedDecomposition(t, m.State, 2), c)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		m.Dyn.Solver = db
+		f := NewForcing(m.State.NOcean())
+		for i := range f.WindStress {
+			f.WindStress[i] = 0.1 * math.Sin(float64(i)*0.01)
+		}
+		want := 0
+		for step := 0; step < 3; step++ {
+			before, coll := db.CG.Allreduces, c.Stats.Collectives
+			if err := m.Step(600, f); err != nil {
+				t.Error(err)
+				return
+			}
+			iters := m.Dyn.LastSolve.Iterations
+			want += 2*iters + 2
+			if got := db.CG.Allreduces - before; iters == 0 || got != 2*iters+2 {
+				t.Errorf("rank %d step %d: %d allreduces for %d iterations, want 2·iters+2", c.Rank, step, got, iters)
+			}
+			// Every one is a par collective, plus the closing allgather.
+			if got := int(c.Stats.Collectives - coll); got != 2*iters+3 {
+				t.Errorf("rank %d step %d: %d par collectives, want %d", c.Rank, step, got, 2*iters+3)
+			}
+		}
+		if m.CGAllreduces != int64(want) || db.CG.Allreduces != want {
+			t.Errorf("rank %d: model charged %d allreduces, the solver performed %d, 2·iters+2 sums to %d",
+				c.Rank, m.CGAllreduces, db.CG.Allreduces, want)
+		}
+	})
+}
+
+// TestDistSolveSteadyStateAllocs: once warm, DistBarotropic.Solve over
+// channels allocates nothing on any rank — partials and the gathered η are
+// lent, halo buffers alternate, the HaloOp is reused — with or without a
+// deadline (a receive that has to wait re-arms the rank's one timer).
+// testing.AllocsPerRun counts the whole process, so rank 0's figure covers
+// both ranks solving in lockstep.
+func TestDistSolveSteadyStateAllocs(t *testing.T) {
+	s, rhs, _, _ := alignedSystem(t)
+	d := alignedDecomposition(t, s, 2)
+	for _, deadline := range []time.Duration{0, time.Minute} {
+		const runs = 5
+		w := par.NewWorld(2)
+		w.SetDeadline(deadline)
+		w.Run(func(c *par.Comm) {
+			db, err := NewDistBarotropic(s, 600, d, c)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			eta := make([]float64, s.NOcean())
+			solve := func() {
+				clear(eta)
+				if _, err := db.Solve(rhs, eta, 1e-8, 5000); err != nil {
+					t.Error(err)
+				}
+			}
+			solve() // sizes the pack buffers, the fold answer buffer, the timer
+			if c.Rank != 0 {
+				for i := 0; i < runs+1; i++ { // AllocsPerRun's warm-up call, then runs
+					solve()
+				}
+				return
+			}
+			if n := testing.AllocsPerRun(runs, solve); n != 0 {
+				t.Errorf("deadline %v: DistBarotropic.Solve allocates %v times per solve over both ranks, want 0", deadline, n)
+			}
+		})
 	}
 }
 

@@ -155,8 +155,9 @@ func (op *BarotropicOp) dot(a, b []float64) float64 {
 }
 
 // SolveStats reports the work of one elliptic solve; the performance model
-// converts Iterations into allreduce counts (2 dot products per CG
-// iteration).
+// converts Iterations into allreduce counts: 2·Iterations + 2, which is what
+// DistCG performs (⟨p,Ap⟩, then ‖r‖² and ⟨r,z⟩ in one paired fold, per
+// iteration; ‖rhs‖² and the first ⟨r,z⟩ at set-up).
 type SolveStats struct {
 	Iterations int
 	Residual   float64
@@ -329,11 +330,18 @@ type BarotropicSolver interface {
 //     blocks, and FoldSum folds the ascending-rank concatenation — the
 //     ascending-block serial order — sequentially.
 //   - The apply folds each owned cell's edge terms in ascending compact
-//     edge order (the serial gather's arrival order), computing each
-//     flux with the serial operand order coef·(x[c0]−x[c1]) and folding
-//     the side-1 sign via subtraction (IEEE a−b ≡ a+(−b) exactly).
+//     edge order (the serial gather's arrival order), each flux being the
+//     serial coef·(x[c0]−x[c1]) with the far side's minus sign folded into
+//     the stored coefficient: (−c)·d ≡ −(c·d) and v−f ≡ v+(−f) exactly in
+//     IEEE-754, zeros included.
 //   - Elementwise sweeps are local and alpha/beta are ratios of
 //     already-identical scalars, so the whole CG trajectory matches.
+//
+// What is mirrored is every partial list and operand order, not the serial
+// loop structure: an iteration is three sweeps (the gather with ⟨p,Ap⟩ fused
+// in, the η/r/z update with both its dots, the p update) and two
+// collectives, the second a paired fold of ‖r‖² and ⟨r,z⟩ — so z and ⟨r,z⟩
+// are also computed on the converged iteration, where nothing reads them.
 //
 // The halo exchange is overlap-aware: Start posts boundary sends, the
 // interior gather (cells whose stencils touch no halo cell) runs through
@@ -357,14 +365,15 @@ type DistCG struct {
 	area []float64 // CellArea per owned local cell
 	diag []float64 // assembled diagonal per owned local cell
 
-	// Edge-term CSR per owned cell, ascending compact-edge order:
-	// term k of cell li is ±refCoef[k]·(x[refA[k]]−x[refB[k]]), the sign
-	// negative when refSub[k] (the cell is the edge's second endpoint).
-	refCoef            []float64
-	refA, refB         []int32
-	refSub             []bool
-	refStart           []int32
-	interior, boundary []int32 // owned local cells, split by halo adjacency
+	// Edge-term CSR per owned cell, ascending compact-edge order.
+	terms    []edgeTerm
+	refStart []int32
+	// Owned local cells split by halo adjacency, ascending: reduction block
+	// j's are list[start[j]:start[j+1]]; mixed lists the blocks with a
+	// boundary cell.
+	interior, boundary []int32
+	intStart, bndStart []int32
+	mixed              []int32
 
 	// Solve scratch and pre-bound pool bodies; per-call parameters pass
 	// through fields so dispatch is allocation-free.
@@ -372,18 +381,14 @@ type DistCG struct {
 	solveRhs      []float64
 	solveEta      []float64
 	x, out        []float64
-	partials      []float64
+	partials      []float64 // two lists of nBlk block partials, back to back
 	alpha, beta   float64
-	blockBody     func(lo, hi int) float64
-	parBlocks     func(lo, hi int)
 	parInterior   func(lo, hi int)
 	parBoundary   func(lo, hi int)
+	parResid      func(lo, hi int)
+	parPrecond    func(lo, hi int)
+	parUpdate     func(lo, hi int)
 	parP          func(lo, hi int)
-	bResidNorm    func(lo, hi int) float64
-	bPrecondRz    func(lo, hi int) float64
-	bPap          func(lo, hi int) float64
-	bUpdateNorm   func(lo, hi int) float64
-	bZRz          func(lo, hi int) float64
 	hx            [1][]float64
 	haloBytesPerX int64
 
@@ -391,6 +396,14 @@ type DistCG struct {
 	Allreduces int
 	HaloXchgs  int
 	HaloBytes  int64
+}
+
+// edgeTerm is an edge's contribution cf·(x[a]−x[b]) to a cell's row: a, b
+// are the edge's first and second cell, cf its coefficient, negated when
+// the row's cell is the second.
+type edgeTerm struct {
+	cf   float64
+	a, b int32
 }
 
 // AlignedCuts returns DecomposeAt cell cuts for nranks such that every
@@ -542,11 +555,7 @@ func NewDistCG(s *State, dt float64, d *grid.Decomposition, comm *par.Comm) (*Di
 	for li := 0; li < dc.nOwn; li++ {
 		dc.refStart[li+1] += dc.refStart[li]
 	}
-	nref := dc.refStart[dc.nOwn]
-	dc.refCoef = make([]float64, nref)
-	dc.refA = make([]int32, nref)
-	dc.refB = make([]int32, nref)
-	dc.refSub = make([]bool, nref)
+	dc.terms = make([]edgeTerm, dc.refStart[dc.nOwn])
 	cursor := append([]int32(nil), dc.refStart[:dc.nOwn]...)
 	for ei := range s.Edges {
 		g0, g1 := s.EdgeCells[ei][0], s.EdgeCells[ei][1]
@@ -555,31 +564,29 @@ func NewDistCG(s *State, dt float64, d *grid.Decomposition, comm *par.Comm) (*Di
 		}
 		h := 0.5 * (s.Depth[g0] + s.Depth[g1])
 		cf := GravO * dt * dt * s.G.EdgeLength[s.Edges[ei]] * h / s.G.DualLength[s.Edges[ei]]
-		put := func(cell int, sub bool) {
+		put := func(cell int, signed float64) {
 			li := cell - dc.w0
-			k := cursor[li]
-			dc.refCoef[k] = cf
-			dc.refA[k] = int32(dc.locOf[g0])
-			dc.refB[k] = int32(dc.locOf[g1])
-			dc.refSub[k] = sub
-			cursor[li] = k + 1
+			dc.terms[cursor[li]] = edgeTerm{cf: signed, a: int32(dc.locOf[g0]), b: int32(dc.locOf[g1])}
+			cursor[li]++
 			dc.diag[li] += cf
 		}
 		if owned(g0) {
-			put(g0, false)
+			put(g0, cf)
 		}
 		if owned(g1) {
-			put(g1, true)
+			put(g1, -cf)
 		}
 	}
 
 	// Interior/boundary split for the overlap: a cell is interior when
 	// none of its edge terms reads a halo cell, so its gather can run
 	// while the boundary messages are in flight.
+	dc.intStart = make([]int32, dc.nBlk+1)
+	dc.bndStart = make([]int32, dc.nBlk+1)
 	for li := 0; li < dc.nOwn; li++ {
 		inner := true
-		for k := dc.refStart[li]; k < dc.refStart[li+1]; k++ {
-			if int(dc.refA[k]) >= dc.nOwn || int(dc.refB[k]) >= dc.nOwn {
+		for _, t := range dc.terms[dc.refStart[li]:dc.refStart[li+1]] {
+			if int(t.a) >= dc.nOwn || int(t.b) >= dc.nOwn {
 				inner = false
 				break
 			}
@@ -587,8 +594,13 @@ func NewDistCG(s *State, dt float64, d *grid.Decomposition, comm *par.Comm) (*Di
 		if inner {
 			dc.interior = append(dc.interior, int32(li))
 		} else {
+			if j := int32(li / dc.blk); len(dc.mixed) == 0 || dc.mixed[len(dc.mixed)-1] != j {
+				dc.mixed = append(dc.mixed, j)
+			}
 			dc.boundary = append(dc.boundary, int32(li))
 		}
+		dc.intStart[li/dc.blk+1] = int32(len(dc.interior))
+		dc.bndStart[li/dc.blk+1] = int32(len(dc.boundary))
 	}
 
 	nloc := dc.nOwn + len(dc.haloWet)
@@ -596,7 +608,7 @@ func NewDistCG(s *State, dt float64, d *grid.Decomposition, comm *par.Comm) (*Di
 	dc.z = make([]float64, dc.nOwn)
 	dc.pv = make([]float64, nloc)
 	dc.ap = make([]float64, dc.nOwn)
-	dc.partials = make([]float64, dc.nBlk)
+	dc.partials = make([]float64, 2*dc.nBlk)
 	dc.bindKernels()
 	return dc, nil
 }
@@ -613,34 +625,95 @@ func (dc *DistCG) OverlapFrac() float64 {
 // OwnedRange returns the rank's owned global wet-compact range [w0, w1).
 func (dc *DistCG) OwnedRange() (int, int) { return dc.w0, dc.w1 }
 
-// bindKernels builds the pool loop bodies once; per-call parameters pass
-// through fields (read at invocation, like the serial operator's).
-func (dc *DistCG) bindKernels() {
-	gatherCells := func(list []int32, lo, hi int) {
-		x, out := dc.x, dc.out
-		for k := lo; k < hi; k++ {
-			li := int(list[k])
-			v := dc.area[li] * x[li]
-			for ri := dc.refStart[li]; ri < dc.refStart[li+1]; ri++ {
-				f := dc.refCoef[ri] * (x[dc.refA[ri]] - x[dc.refB[ri]])
-				if dc.refSub[ri] {
-					v -= f
-				} else {
-					v += f
-				}
+// gather computes out = Ã(x) on the listed owned cells, ascending, and
+// returns Σ x·out over them in that order — a reduction block's ⟨x,Ãx⟩
+// partial when the list is the whole block.
+func (dc *DistCG) gather(list []int32) float64 {
+	x, out, area, terms, refStart := dc.x, dc.out, dc.area, dc.terms, dc.refStart
+	var acc float64
+	for _, li := range list {
+		v := area[li] * x[li]
+		if t := terms[refStart[li]:refStart[li+1]]; len(t) == 3 {
+			v += t[0].cf * (x[t[0].a] - x[t[0].b])
+			v += t[1].cf * (x[t[1].a] - x[t[1].b])
+			v += t[2].cf * (x[t[2].a] - x[t[2].b])
+		} else {
+			for _, e := range t {
+				v += e.cf * (x[e.a] - x[e.b])
 			}
-			out[li] = v
+		}
+		out[li] = v
+		acc += x[li] * v
+	}
+	return acc
+}
+
+// block returns the owned local cell range of reduction block j.
+func (dc *DistCG) block(j int) (lo, hi int) {
+	return j * dc.blk, min((j+1)*dc.blk, dc.nOwn)
+}
+
+// bindKernels builds the pool loop bodies once, all dispatched over the
+// rank's reduction blocks — block-disjoint writes, block j's partial left
+// in partials[j]; per-call parameters pass through fields (read at
+// invocation, like the serial operator's).
+func (dc *DistCG) bindKernels() {
+	// The two halves of the apply. The interior pass's ⟨x,Ãx⟩ partial is
+	// final where the block is all interior; the boundary pass completes
+	// each mixed block's rows and redoes its partial over the whole block.
+	dc.parInterior = func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			dc.partials[j] = dc.gather(dc.interior[dc.intStart[j]:dc.intStart[j+1]])
 		}
 	}
-	dc.parInterior = func(lo, hi int) { gatherCells(dc.interior, lo, hi) }
-	dc.parBoundary = func(lo, hi int) { gatherCells(dc.boundary, lo, hi) }
-	dc.parBlocks = func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			end := (j + 1) * dc.blk
-			if end > dc.nOwn {
-				end = dc.nOwn
+	dc.parBoundary = func(lo, hi int) {
+		for _, j := range dc.mixed[lo:hi] {
+			dc.gather(dc.boundary[dc.bndStart[j]:dc.bndStart[j+1]])
+			b0, b1 := dc.block(int(j))
+			var acc float64
+			for i, v := range dc.out[b0:b1] {
+				acc += dc.x[b0+i] * v
 			}
-			dc.partials[j] = dc.blockBody(j*dc.blk, end)
+			dc.partials[j] = acc
+		}
+	}
+	dc.parResid = func(lo, hi int) {
+		r, ap, rhs := dc.r, dc.ap, dc.solveRhs
+		for j := lo; j < hi; j++ {
+			var acc float64
+			for i, end := dc.block(j); i < end; i++ {
+				r[i] = rhs[i] - ap[i]
+				acc += rhs[i] * rhs[i]
+			}
+			dc.partials[j] = acc
+		}
+	}
+	dc.parPrecond = func(lo, hi int) {
+		r, z, pv, diag := dc.r, dc.z, dc.pv, dc.diag
+		for j := lo; j < hi; j++ {
+			var acc float64
+			for i, end := dc.block(j); i < end; i++ {
+				z[i] = r[i] / diag[i]
+				pv[i] = z[i]
+				acc += r[i] * z[i]
+			}
+			dc.partials[j] = acc
+		}
+	}
+	// The serial parUpdateNorm and parZRz in one sweep: block j's ‖r‖²
+	// partial goes to partials[j], its ⟨r,z⟩ partial to partials[nBlk+j].
+	dc.parUpdate = func(lo, hi int) {
+		eta, r, z, pv, ap, diag, alpha := dc.solveEta, dc.r, dc.z, dc.pv, dc.ap, dc.diag, dc.alpha
+		for j := lo; j < hi; j++ {
+			var rr, rz float64
+			for i, end := dc.block(j); i < end; i++ {
+				eta[i] += alpha * pv[i]
+				r[i] -= alpha * ap[i]
+				rr += r[i] * r[i]
+				z[i] = r[i] / diag[i]
+				rz += r[i] * z[i]
+			}
+			dc.partials[j], dc.partials[dc.nBlk+j] = rr, rz
 		}
 	}
 	dc.parP = func(lo, hi int) {
@@ -649,77 +722,27 @@ func (dc *DistCG) bindKernels() {
 			pv[i] = z[i] + beta*pv[i]
 		}
 	}
-	dc.bResidNorm = func(lo, hi int) float64 {
-		r, ap, rhs := dc.r, dc.ap, dc.solveRhs
-		var acc float64
-		for i := lo; i < hi; i++ {
-			r[i] = rhs[i] - ap[i]
-			acc += rhs[i] * rhs[i]
-		}
-		return acc
-	}
-	dc.bPrecondRz = func(lo, hi int) float64 {
-		r, z, pv, diag := dc.r, dc.z, dc.pv, dc.diag
-		var acc float64
-		for i := lo; i < hi; i++ {
-			z[i] = r[i] / diag[i]
-			pv[i] = z[i]
-			acc += r[i] * z[i]
-		}
-		return acc
-	}
-	dc.bPap = func(lo, hi int) float64 {
-		pv, ap := dc.pv, dc.ap
-		var acc float64
-		for i := lo; i < hi; i++ {
-			acc += pv[i] * ap[i]
-		}
-		return acc
-	}
-	dc.bUpdateNorm = func(lo, hi int) float64 {
-		eta, r, pv, ap, alpha := dc.solveEta, dc.r, dc.pv, dc.ap, dc.alpha
-		var acc float64
-		for i := lo; i < hi; i++ {
-			eta[i] += alpha * pv[i]
-			r[i] -= alpha * ap[i]
-			acc += r[i] * r[i]
-		}
-		return acc
-	}
-	dc.bZRz = func(lo, hi int) float64 {
-		r, z, diag := dc.r, dc.z, dc.diag
-		var acc float64
-		for i := lo; i < hi; i++ {
-			z[i] = r[i] / diag[i]
-			acc += r[i] * z[i]
-		}
-		return acc
-	}
 }
 
-// foldDot runs body over the rank's global-size reduction blocks (block-
-// disjoint writes, one partial per block) and folds all ranks' partials
-// in ascending rank order — with aligned cuts, exactly the serial
-// ascending-block fold.
-func (dc *DistCG) foldDot(body func(lo, hi int) float64) float64 {
-	dc.blockBody = body
-	sched.Run(dc.nBlk, dc.parBlocks)
-	dc.blockBody = nil
+// fold folds all ranks' first partial lists in ascending rank order — with
+// aligned cuts, exactly the serial ascending-block fold.
+func (dc *DistCG) fold() float64 {
 	dc.Allreduces++
 	return dc.comm.FoldSum(dc.partials[:dc.nBlk])
 }
 
-// applyOverlap computes out = Ã(x) for owned cells: boundary sends are
-// posted, the interior gather overlaps the in-flight messages through
-// the sched pool, and the boundary gather runs once the ghosts land.
+// applyOverlap computes out = Ã(x) for owned cells and this rank's block
+// partials of ⟨x,Ãx⟩: boundary sends are posted, the interior gather
+// overlaps the in-flight messages through the sched pool, and the boundary
+// gather runs once the ghosts land.
 func (dc *DistCG) applyOverlap(x, out []float64) error {
 	dc.hx[0] = x
 	op := dc.halo.Start(dc.hx[:], 1)
 	dc.x, dc.out = x, out
-	sched.Run(len(dc.interior), dc.parInterior)
+	sched.Run(dc.nBlk, dc.parInterior)
 	err := op.Finish()
 	if err == nil {
-		sched.Run(len(dc.boundary), dc.parBoundary)
+		sched.Run(len(dc.mixed), dc.parBoundary)
 	}
 	dc.x, dc.out = nil, nil
 	dc.hx[0] = nil
@@ -728,11 +751,11 @@ func (dc *DistCG) applyOverlap(x, out []float64) error {
 	return err
 }
 
-// Solve runs the distributed PCG, mirroring the serial Solve reduction
-// for reduction. rhs holds the rank's owned entries (length w1-w0); eta
-// is owned entries followed by halo entries in local order. On return
-// eta's owned block holds the solution and halos are up to date. All
-// ranks must call Solve collectively.
+// Solve runs the distributed PCG on the serial Solve's trajectory (see
+// DistCG for what is mirrored). rhs holds the rank's owned entries (length
+// w1-w0); eta is owned entries followed by halo entries in local order. On
+// return eta's owned block holds the solution and halos are up to date.
+// All ranks must call Solve collectively.
 func (dc *DistCG) Solve(rhs, eta []float64, tol float64, maxIter int) (SolveStats, error) {
 	dc.solveRhs, dc.solveEta = rhs, eta
 	defer func() { dc.solveRhs, dc.solveEta = nil, nil }()
@@ -740,21 +763,26 @@ func (dc *DistCG) Solve(rhs, eta []float64, tol float64, maxIter int) (SolveStat
 	if err := dc.applyOverlap(eta, dc.ap); err != nil {
 		return SolveStats{}, err
 	}
-	rhsNorm := math.Sqrt(dc.foldDot(dc.bResidNorm))
+	sched.Run(dc.nBlk, dc.parResid)
+	rhsNorm := math.Sqrt(dc.fold())
 	if rhsNorm == 0 {
 		for i := range eta {
 			eta[i] = 0
 		}
 		return SolveStats{}, nil
 	}
-	rz := dc.foldDot(dc.bPrecondRz)
+	sched.Run(dc.nBlk, dc.parPrecond)
+	rz := dc.fold()
 	for iter := 1; iter <= maxIter; iter++ {
 		if err := dc.applyOverlap(dc.pv, dc.ap); err != nil {
 			return SolveStats{}, err
 		}
-		pap := dc.foldDot(dc.bPap)
-		dc.alpha = rz / pap
-		rnorm := math.Sqrt(dc.foldDot(dc.bUpdateNorm))
+		dc.alpha = rz / dc.fold()
+		sched.Run(dc.nBlk, dc.parUpdate)
+		dc.Allreduces++
+		var sums [2]float64
+		dc.comm.FoldSums(dc.partials, sums[:])
+		rnorm, rzNew := math.Sqrt(sums[0]), sums[1]
 		if rnorm < tol*rhsNorm {
 			if err := dc.halo.Exchange(eta, 1); err != nil {
 				return SolveStats{}, err
@@ -763,7 +791,6 @@ func (dc *DistCG) Solve(rhs, eta []float64, tol float64, maxIter int) (SolveStat
 			dc.HaloBytes += dc.haloBytesPerX
 			return SolveStats{Iterations: iter, Residual: rnorm / rhsNorm}, nil
 		}
-		rzNew := dc.foldDot(dc.bZRz)
 		dc.beta = rzNew / rz
 		rz = rzNew
 		sched.Run(dc.nOwn, dc.parP)
@@ -809,15 +836,6 @@ func (db *DistBarotropic) Solve(rhs, eta []float64, tol float64, maxIter int) (S
 	if err != nil {
 		return st, err
 	}
-	parts := dc.comm.Gather(0, db.leta[:dc.nOwn])
-	var full []float64
-	if dc.comm.Rank == 0 {
-		full = make([]float64, 0, len(eta))
-		for _, p := range parts {
-			full = append(full, p...)
-		}
-	}
-	full = dc.comm.Bcast(0, full)
-	copy(eta, full)
+	dc.comm.Allgather(db.leta[:dc.nOwn], eta)
 	return st, nil
 }

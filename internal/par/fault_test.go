@@ -274,6 +274,7 @@ func TestRootLossAbortsCollectives(t *testing.T) {
 		"barrier":   func(c *Comm) { c.Barrier() },
 		"foldsum":   func(c *Comm) { c.FoldSum([]float64{1, 2}) },
 		"allreduce": func(c *Comm) { c.AllreduceVec(OpSum, []float64{1, 2}) },
+		"allgather": func(c *Comm) { c.Allgather([]float64{1}, make([]float64, n)) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			w := NewWorld(n)

@@ -36,6 +36,14 @@ type HaloExchanger struct {
 	recvLocal map[int][]int // local halo indices to fill per rank
 
 	oneField [1][]float64 // scratch so Exchange reuses the packed path
+
+	// bufs holds, per exchange form (tagHalo-tag), two pack buffers per
+	// neighbour, used alternately as round counts the form's posts: a peer
+	// may still be reading round k's buffer during post k+1, but it posted
+	// its own round k+1 — collected here before post k+2 — after that read.
+	bufs  [3][2][][]float64
+	round [3]int
+	op    HaloOp // the one Start/Finish pair in flight
 }
 
 // NewHaloExchanger precomputes pack/unpack index lists. It fails fast on
@@ -72,6 +80,10 @@ func NewHaloExchanger(c *Comm, p *grid.Partition) (*HaloExchanger, error) {
 		h.neighbors = append(h.neighbors, r)
 	}
 	sort.Ints(h.neighbors)
+	for f := range h.bufs {
+		h.bufs[f][0] = make([][]float64, len(h.neighbors))
+		h.bufs[f][1] = make([][]float64, len(h.neighbors))
+	}
 	for _, r := range h.neighbors {
 		ns, nr := len(h.sendLocal[r]), len(h.recvLocal[r])
 		if ns == 0 || nr == 0 {
@@ -86,14 +98,23 @@ func NewHaloExchanger(c *Comm, p *grid.Partition) (*HaloExchanger, error) {
 func (h *HaloExchanger) Neighbors() []int { return h.neighbors }
 
 // post packs and sends one buffer per neighbour (all fields, field-major)
-// and returns the sent byte count. The freshly packed buffer is given up
-// to Comm.post as it is — no second copy. Channels/sockets are buffered,
-// so posting every send before any receive cannot deadlock.
+// and returns the sent byte count. The packed buffer goes to Comm.post as
+// it is — no second copy — and is packed again two rounds on (see bufs);
+// under a fault hook, which may park a message past that, it is given up
+// and every round packs a fresh one. Channels/sockets are buffered, so
+// posting every send before any receive cannot deadlock.
 func (h *HaloExchanger) post(tag int, fields [][]float64, nlev int) int64 {
 	var sent int64
-	for _, r := range h.neighbors {
+	form := tagHalo - tag
+	set := h.bufs[form][h.round[form]&1]
+	h.round[form]++
+	for ni, r := range h.neighbors {
 		loc := h.sendLocal[r]
-		buf := make([]float64, len(loc)*nlev*len(fields))
+		n := len(loc) * nlev * len(fields)
+		if cap(set[ni]) < n || h.comm.hook != nil {
+			set[ni] = make([]float64, n)
+		}
+		buf := set[ni][:n]
 		o := 0
 		for _, f := range fields {
 			for _, li := range loc {
@@ -171,14 +192,15 @@ type HaloOp struct {
 }
 
 // Start posts this rank's boundary sends for the given same-shaped
-// fields and returns the in-flight operation. Between Start and Finish
+// fields and returns the in-flight operation — the exchanger's one HaloOp,
+// so it must be Finished before the next Start. Between Start and Finish
 // the caller may update any owned cell — the outgoing buffers are packed
 // copies — but must not read halo cells, which still hold stale values
 // until Finish scatters the incoming messages.
 func (h *HaloExchanger) Start(fields [][]float64, nlev int) *HaloOp {
-	op := &HaloOp{h: h, fields: fields, nlev: nlev, t0: h.comm.track.Start()}
-	op.sent = h.post(tagHaloAsync, fields, nlev)
-	return op
+	h.op = HaloOp{h: h, fields: fields, nlev: nlev, t0: h.comm.track.Start()}
+	h.op.sent = h.post(tagHaloAsync, fields, nlev)
+	return &h.op
 }
 
 // Finish receives the neighbours' boundary values and scatters them into

@@ -235,8 +235,8 @@ type Stats struct {
 	// matched, not when it arrives). Dropped traffic appears in neither
 	// direction, so sent and received volumes cross-check.
 	BytesRecvd int64
-	// Collectives counts Barrier, AllreduceVec, FoldSum, Gather and Bcast
-	// calls.
+	// Collectives counts Barrier, AllreduceVec, FoldSum(s), Gather and
+	// Allgather calls.
 	Collectives int64
 	// Dropped counts DropMsg verdicts plus parked messages drained at Run
 	// completion (tail loss). Delayed counts currently parked messages: a
@@ -265,10 +265,10 @@ type Comm struct {
 	hook   MsgHook
 	parked map[int]*message
 
-	// foldOut carries FoldSum's answer from the root to its peers. The root
+	// foldOut carries a fold's answers from the root to its peers. The root
 	// rewrites it only after every peer has contributed to the next fold,
 	// which a peer does only after reading this one.
-	foldOut [1]float64
+	foldOut []float64
 
 	Stats Stats
 
@@ -316,8 +316,9 @@ func (c *Comm) Send(to, tag int, data []float64) {
 	c.post(to, tag, slices.Clone(data))
 }
 
-// post hands a buffer the caller gives up (Send's copy, a packed halo
-// buffer) to the transport. It is the one place the fault hook sees
+// post hands the transport a buffer the caller will not write while a
+// receiver may read it (Send's copy, a packed halo buffer — see
+// HaloExchanger.bufs). It is the one place the fault hook sees
 // traffic and the one place point-to-point traffic is counted, after the
 // hook's verdict: Msgs counts the attempt, Delivered/BytesSent only a
 // payload that entered the transport, so dropped and parked messages never
@@ -401,7 +402,7 @@ func (c *Comm) deliver(to int, m message) {
 // wire puts one frame on the transport, uncounted: the frames of a
 // collective go through here directly. Per the Transport contract the
 // receiver may see data itself, so the caller either gives the buffer up
-// or — lending it — blocks until the receiver has answered.
+// or — lending it — does not write it until the receiver has answered.
 func (c *Comm) wire(to, tag int, data []float64) {
 	c.checkPeer("send to", to)
 	if err := c.tp.Send(to, tag, data); err != nil {
@@ -589,26 +590,45 @@ func foldVec(op ReduceOp, acc, part []float64) {
 // Nothing is copied or allocated: a peer lends parts to the root (as in
 // AllreduceVec) and the answer travels in the root's foldOut.
 func (c *Comm) FoldSum(parts []float64) float64 {
+	var s [1]float64
+	c.FoldSums(parts, s[:])
+	return s[0]
+}
+
+// FoldSums is FoldSum over len(sums) lists in one collective: parts holds
+// this rank's lists back to back, each len(parts)/len(sums) long (lengths
+// may differ between ranks), and sums[j] receives the fold of every rank's
+// list j — per list the very sequence of additions FoldSum performs, so
+// reductions that fall due together cost one round trip, not one each.
+func (c *Comm) FoldSums(parts, sums []float64) {
 	t0 := c.beginColl()
 	defer c.track.EndArg("coll:foldsum", t0, "bytes", int64(8*len(parts)))
 	if c.Rank != 0 {
 		c.wire(0, tagFold, parts)
-		return c.await(0, tagFoldOut, "foldsum")[0]
+		copy(sums, c.await(0, tagFoldOut, "foldsum"))
+		return
 	}
-	var s float64
-	for _, v := range parts {
-		s += v
-	}
+	clear(sums)
+	foldLists(sums, parts)
 	for r := 1; r < c.n; r++ {
-		for _, v := range c.await(r, tagFold, "foldsum") {
+		foldLists(sums, c.await(r, tagFold, "foldsum"))
+	}
+	c.foldOut = append(c.foldOut[:0], sums...)
+	for r := 1; r < c.n; r++ {
+		c.wire(r, tagFoldOut, c.foldOut)
+	}
+}
+
+// foldLists adds each of the len(sums) equal-length lists in parts onto
+// its running sum, element by element.
+func foldLists(sums, parts []float64) {
+	m := len(parts) / len(sums)
+	for j, s := range sums {
+		for _, v := range parts[j*m : (j+1)*m] {
 			s += v
 		}
+		sums[j] = s
 	}
-	c.foldOut[0] = s
-	for r := 1; r < c.n; r++ {
-		c.wire(r, tagFoldOut, c.foldOut[:])
-	}
-	return s
 }
 
 // AllreduceSum reduces a scalar sum across ranks.
@@ -643,29 +663,49 @@ func (c *Comm) Gather(root int, data []float64) [][]float64 {
 	return out
 }
 
-// Bcast sends root's data to every rank and returns it: data itself on
-// the root, a private copy everywhere else.
-func (c *Comm) Bcast(root int, data []float64) []float64 {
+// Allgather concatenates every rank's block, in ascending rank order, into
+// full on every rank; the block lengths must add up to len(full). Nothing
+// is allocated: a peer lends its block to rank 0, which copies it straight
+// into its own full and lends that to every peer; each peer copies it into
+// its full and acknowledges, and rank 0 returns — free to write full again
+// — only when every peer has.
+func (c *Comm) Allgather(own, full []float64) {
 	t0 := c.beginColl()
-	defer c.track.End("coll:bcast", t0)
-	if c.Rank != root {
-		return c.await(root, tagBcast, "bcast")
-	}
-	for r := 0; r < c.n; r++ {
-		if r != root {
-			c.wire(r, tagBcast, slices.Clone(data))
+	defer c.track.EndArg("coll:allgather", t0, "bytes", int64(8*len(full)))
+	if c.Rank != 0 {
+		c.wire(0, tagAllgather, own)
+		if n := copy(full, c.await(0, tagAllgather, "allgather")); n != len(full) {
+			panic(fmt.Sprintf("par: allgather of %d values into %d", n, len(full)))
 		}
+		c.wire(0, tagAllgather, nil)
+		return
 	}
-	return data
+	n := len(own)
+	copy(full, own)
+	for r := 1; r < c.n; r++ {
+		part := c.await(r, tagAllgather, "allgather")
+		copy(full[min(n, len(full)):], part)
+		n += len(part)
+	}
+	if n != len(full) {
+		panic(fmt.Sprintf("par: allgather of %d values into %d", n, len(full)))
+	}
+	for r := 1; r < c.n; r++ {
+		c.wire(r, tagAllgather, full)
+	}
+	for r := 1; r < c.n; r++ {
+		c.await(r, tagAllgather, "allgather")
+	}
 }
 
 // Reserved internal tags; user tags should be small non-negative ints.
 // Each halo form owns a distinct tag so interleaving Exchange,
 // ExchangeMany and Start/Finish against the same neighbour in one window
-// can never match a packed multi-field buffer to the wrong receive.
+// can never match a packed multi-field buffer to the wrong receive; the
+// three stay consecutive (HaloExchanger.bufs is indexed tagHalo-tag).
 const (
 	tagGather = -1000 - iota
-	tagBcast
+	tagAllgather
 	tagHalo
 	tagHaloMany
 	tagHaloAsync

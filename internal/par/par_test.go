@@ -147,17 +147,31 @@ func TestGather(t *testing.T) {
 	})
 }
 
-func TestBcast(t *testing.T) {
+// TestAllgather: ragged blocks land in ascending rank order in every
+// rank's full, and full is the caller's to rewrite as soon as the call
+// returns — on the root too, which lends it to its peers.
+func TestAllgather(t *testing.T) {
 	const n = 6
 	w := NewWorld(n)
 	w.Run(func(c *Comm) {
-		var data []float64
-		if c.Rank == 3 {
-			data = []float64{3.14, 2.72}
-		}
-		got := c.Bcast(3, data)
-		if len(got) != 2 || got[0] != 3.14 || got[1] != 2.72 {
-			t.Errorf("rank %d bcast = %v", c.Rank, got)
+		own := make([]float64, c.Rank+1) // ragged
+		full := make([]float64, n*(n+1)/2)
+		for round := 0; round < 50; round++ {
+			for i := range own {
+				own[i] = float64(100*round + c.Rank)
+			}
+			c.Allgather(own, full)
+			i := 0
+			for r := 0; r < n; r++ {
+				for k := 0; k <= r; k++ {
+					if full[i] != float64(100*round+r) {
+						t.Errorf("rank %d round %d: full[%d] = %v, want rank %d's block", c.Rank, round, i, full[i], r)
+						return
+					}
+					i++
+				}
+			}
+			clear(full)
 		}
 	})
 }

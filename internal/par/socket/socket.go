@@ -21,6 +21,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,6 +38,9 @@ const helloMagic = 0x69636f65 // "icoe"
 // beyond it means a corrupt or misframed stream, not a real message.
 const maxFrameFloats = 8 << 20
 
+// readChunk is the most readFrame allocates on a header's word alone.
+const readChunk = 64 << 10
+
 // frame is one decoded wire message.
 type frame struct {
 	tag  int32
@@ -52,6 +56,7 @@ type peer struct {
 	wmu   sync.Mutex
 	wbuf  []byte
 	inbox chan frame
+	timer *time.Timer // bounds a Recv that has to wait; re-armed, never reallocated
 }
 
 // WireStats is a snapshot of one rank's socket traffic.
@@ -193,30 +198,49 @@ func (t *Transport) dialLower(dir string, deadline time.Time) error {
 // analogue of the channel transport's bounded inboxes.
 func (t *Transport) readLoop(from int, p *peer) {
 	defer close(p.inbox)
-	var hdr [8]byte
+	var raw []byte
 	for {
-		if _, err := io.ReadFull(p.conn, hdr[:]); err != nil {
+		f, err := readFrame(p.conn, &raw)
+		if err != nil {
 			return
-		}
-		tag := int32(binary.LittleEndian.Uint32(hdr[0:4]))
-		count := int(int32(binary.LittleEndian.Uint32(hdr[4:8])))
-		if count < 0 || count > maxFrameFloats {
-			return
-		}
-		raw := make([]byte, 8*count)
-		if _, err := io.ReadFull(p.conn, raw); err != nil {
-			return
-		}
-		data := make([]float64, count)
-		for i := range data {
-			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
 		t.framesRecvd.Add(1)
-		t.bytesRecvd.Add(int64(8 * count))
+		t.bytesRecvd.Add(int64(8 * len(f.data)))
 		t.ctrFramesRecvd.Add(1)
-		t.ctrBytesRecvd.Add(int64(8 * count))
-		p.inbox <- frame{tag: tag, data: data}
+		t.ctrBytesRecvd.Add(int64(8 * len(f.data)))
+		p.inbox <- f
 	}
+}
+
+// readFrame decodes the next frame from r, reading through *scratch (kept
+// between calls). The header is the peer's claim, not yet backed by a byte:
+// the buffer grows by at most readChunk or what has already arrived,
+// whichever is more, and the payload slice is made once the payload is in,
+// so a corrupt length costs a small multiple of the bytes that follow it.
+func readFrame(r io.Reader, scratch *[]byte) (frame, error) {
+	buf := slices.Grow((*scratch)[:0], 8)[:8]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return frame{}, err
+	}
+	tag := int32(binary.LittleEndian.Uint32(buf[0:4]))
+	count := int(int32(binary.LittleEndian.Uint32(buf[4:8])))
+	if count < 0 || count > maxFrameFloats {
+		return frame{}, fmt.Errorf("socket: frame header names %d values", count)
+	}
+	buf = buf[:0]
+	for len(buf) < 8*count {
+		n := min(8*count-len(buf), max(readChunk, len(buf)))
+		buf = slices.Grow(buf, n)[:len(buf)+n]
+		if _, err := io.ReadFull(r, buf[len(buf)-n:]); err != nil {
+			return frame{}, err
+		}
+	}
+	*scratch = buf
+	data := make([]float64, count)
+	for i := range data {
+		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+	}
+	return frame{tag: tag, data: data}, nil
 }
 
 // NRanks returns the mesh size; Rank this process's rank.
@@ -234,17 +258,8 @@ func (t *Transport) Send(to, tag int, data []float64) error {
 	p := t.peers[to]
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
-	need := 8 + 8*len(data)
-	if cap(p.wbuf) < need {
-		p.wbuf = make([]byte, need)
-	}
-	b := p.wbuf[:need]
-	binary.LittleEndian.PutUint32(b[0:4], uint32(int32(tag)))
-	binary.LittleEndian.PutUint32(b[4:8], uint32(int32(len(data))))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(b[8+8*i:], math.Float64bits(v))
-	}
-	if _, err := p.conn.Write(b); err != nil {
+	p.wbuf = appendFrame(p.wbuf[:0], tag, data)
+	if _, err := p.conn.Write(p.wbuf); err != nil {
 		return fmt.Errorf("socket: send to rank %d: %v: %w", to, err, par.ErrRankLost)
 	}
 	t.framesSent.Add(1)
@@ -254,31 +269,50 @@ func (t *Transport) Send(to, tag int, data []float64) error {
 	return nil
 }
 
+// appendFrame appends the wire form of one frame to b.
+func appendFrame(b []byte, tag int, data []float64) []byte {
+	b = slices.Grow(b, 8+8*len(data))
+	b = binary.LittleEndian.AppendUint32(b, uint32(int32(tag)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(int32(len(data))))
+	for _, v := range data {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
 // Recv returns the next frame from rank from in arrival order. timeout
-// <= 0 blocks until a frame arrives or the peer is lost.
+// <= 0 blocks until a frame arrives or the peer is lost. A wait re-arms the
+// peer's one timer (a rank receives on its own goroutine only), so what a
+// Recv allocates does not follow wire timing.
 func (t *Transport) Recv(from int, timeout time.Duration) (int, []float64, error) {
 	if from < 0 || from >= t.n || from == t.rank {
 		return 0, nil, fmt.Errorf("socket: recv from invalid rank %d", from)
 	}
 	p := t.peers[from]
-	if timeout <= 0 {
-		f, ok := <-p.inbox
-		if !ok {
-			return 0, nil, fmt.Errorf("socket: rank %d connection lost: %w", from, par.ErrRankLost)
-		}
-		return int(f.tag), f.data, nil
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	var f frame
+	var ok bool
 	select {
-	case f, ok := <-p.inbox:
-		if !ok {
-			return 0, nil, fmt.Errorf("socket: rank %d connection lost: %w", from, par.ErrRankLost)
+	case f, ok = <-p.inbox:
+	default:
+		var expired <-chan time.Time
+		if timeout > 0 {
+			if p.timer == nil {
+				p.timer = time.NewTimer(timeout)
+			}
+			p.timer.Reset(timeout)
+			defer p.timer.Stop()
+			expired = p.timer.C
 		}
-		return int(f.tag), f.data, nil
-	case <-timer.C:
-		return 0, nil, fmt.Errorf("socket: recv from rank %d timed out after %v: %w", from, timeout, par.ErrRankLost)
+		select {
+		case f, ok = <-p.inbox:
+		case <-expired:
+			return 0, nil, fmt.Errorf("socket: recv from rank %d timed out after %v: %w", from, timeout, par.ErrRankLost)
+		}
 	}
+	if !ok {
+		return 0, nil, fmt.Errorf("socket: rank %d connection lost: %w", from, par.ErrRankLost)
+	}
+	return int(f.tag), f.data, nil
 }
 
 // Close tears the mesh down: peers still blocked on this rank observe it

@@ -1,11 +1,16 @@
 package socket
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"math"
 	"os"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"icoearth/internal/grid"
@@ -125,13 +130,12 @@ func TestCollectivesOverSocket(t *testing.T) {
 				}
 			}
 		}
-		var seed []float64
-		if c.Rank == 2 {
-			seed = []float64{3.25, -1.5}
-		}
-		b := c.Bcast(2, seed)
-		if b[0] != 3.25 || b[1] != -1.5 {
-			t.Errorf("rank %d: bcast = %v", c.Rank, b)
+		full := make([]float64, 2*n)
+		c.Allgather([]float64{float64(c.Rank), -1.5}, full)
+		for r := 0; r < n; r++ {
+			if full[2*r] != float64(r) || full[2*r+1] != -1.5 {
+				t.Errorf("rank %d: allgather = %v", c.Rank, full)
+			}
 		}
 	})
 }
@@ -163,6 +167,98 @@ func TestFoldSumMatchesSerial(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestPairedFoldOverSocket: the k-list fold with lists of unequal length
+// per rank equals, list by list, the sequential fold of the ascending-rank
+// concatenation.
+func TestPairedFoldOverSocket(t *testing.T) {
+	const n = 3
+	parts := [][]float64{ // each rank: list 0 then list 1, equal halves
+		{0.1, 0.2, 0.3, 1e-17, 4e8, -7},
+		{1e-17, 4e8},
+		{-0.3, 0.7, 1e-9, 5},
+	}
+	var serial [2]float64
+	for _, p := range parts {
+		for i, v := range p {
+			serial[2*i/len(p)] += v
+		}
+	}
+	runMesh(t, startMesh(t, n), func(c *par.Comm) {
+		c.SetDeadline(5 * time.Second)
+		for iter := 0; iter < 5; iter++ {
+			var got [2]float64
+			c.FoldSums(parts[c.Rank], got[:])
+			if got != serial {
+				t.Errorf("rank %d iter %d: folds = %x, serial = %x", c.Rank, iter, got, serial)
+				return
+			}
+		}
+	})
+}
+
+// TestRecvAllocatesThePayloadOnly: a frame costs its receiver one
+// allocation, the decoded payload — the bytes are read through the peer's
+// one scratch buffer, and under a deadline a receive that has to wait
+// re-arms the peer's one timer. A fold over two ranks is two frames with a
+// payload. testing.AllocsPerRun counts the whole process, reader goroutines
+// and rank 1 included.
+func TestRecvAllocatesThePayloadOnly(t *testing.T) {
+	const runs = 200
+	for _, deadline := range []time.Duration{0, time.Minute} {
+		runMesh(t, startMesh(t, 2), func(c *par.Comm) {
+			c.SetDeadline(deadline)
+			parts := make([]float64, 16)
+			fold := func() { c.FoldSum(parts) }
+			fold()
+			if c.Rank != 0 {
+				for i := 0; i < runs+1; i++ { // AllocsPerRun's warm-up call, then runs
+					fold()
+				}
+				return
+			}
+			if n := testing.AllocsPerRun(runs, fold); n != 2 {
+				t.Errorf("deadline %v: a FoldSum over sockets allocates %v times over both ranks, want 2 (one payload per frame)", deadline, n)
+			}
+		})
+	}
+}
+
+// TestReadFrameGrowsWithArrival: a payload of many chunks decodes exactly
+// through a reader that delivers it in halves, the scratch buffer is kept
+// for the next frame, and a header that names 64 MiB with 100 bytes behind
+// it costs a few chunks, not 64 MiB.
+func TestReadFrameGrowsWithArrival(t *testing.T) {
+	want := make([]float64, 5*readChunk/8+3)
+	for i := range want {
+		want[i] = math.Sin(float64(i))
+	}
+	wire := appendFrame(appendFrame(nil, -7, want), 9, want[:2])
+	rd := iotest.HalfReader(bytes.NewReader(wire))
+	var scratch []byte
+	f, err := readFrame(rd, &scratch)
+	if err != nil || f.tag != -7 || !slices.Equal(f.data, want) {
+		t.Fatalf("large frame: tag %d, %d values, err %v", f.tag, len(f.data), err)
+	}
+	kept := cap(scratch)
+	if f, err = readFrame(rd, &scratch); err != nil || f.tag != 9 || !slices.Equal(f.data, want[:2]) || cap(scratch) != kept {
+		t.Fatalf("second frame: %+v, err %v, scratch %d → %d", f, err, kept, cap(scratch))
+	}
+	if _, err = readFrame(rd, &scratch); err != io.EOF {
+		t.Fatalf("end of stream: %v, want io.EOF", err)
+	}
+
+	liar := append(appendFrame(nil, 1, nil)[:4], 0, 0, 0x80, 0) // count = maxFrameFloats
+	liar = append(liar, make([]byte, 100)...)
+	scratch = nil
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = readFrame(bytes.NewReader(liar), &scratch)
+	runtime.ReadMemStats(&after)
+	if err == nil || after.TotalAlloc-before.TotalAlloc > allocBound(len(liar)) {
+		t.Errorf("64 MiB header over 100 bytes: err %v, %d bytes allocated", err, after.TotalAlloc-before.TotalAlloc)
+	}
 }
 
 func TestHaloExchangeOverSocket(t *testing.T) {
@@ -324,13 +420,8 @@ func TestStatsSameOnBothTransports(t *testing.T) {
 			c.Barrier()
 			c.FoldSum([]float64{1, 2, 3})
 			c.AllreduceVec(par.OpMax, []float64{float64(c.Rank), 1})
-			var seed []float64
-			if parts := c.Gather(1, make([]float64, 4+c.Rank)); c.Rank == 1 {
-				seed = parts[2]
-			}
-			if got := c.Bcast(1, seed); len(got) != 6 {
-				t.Errorf("rank %d: bcast of rank 2's gathered slice has %d values, want 6", c.Rank, len(got))
-			}
+			c.Gather(1, make([]float64, 4+c.Rank))
+			c.Allgather(make([]float64, 4+c.Rank), make([]float64, 4*n+n*(n-1)/2))
 			out[c.Rank] = c.Stats
 		}
 	}

@@ -59,11 +59,13 @@ go test -tags sdfgdebug ./internal/sdfg/
 go test -race -short ./...
 go test -race ./internal/sched/... ./internal/par/... ./internal/par/socket/... ./internal/exec/... ./internal/coupler/... ./internal/fault/... ./internal/restart/... ./internal/atmos/... ./internal/ocean/... ./internal/bgc/...
 go test ./...
-# Fuzz the two parsers of on-disk checkpoint bytes, 10 s each (tier-1 ran
-# their checked-in corpora as plain tests): no panic, no allocation beyond
-# a small multiple of the input, an accepted input re-encodes to itself.
+# Fuzz the two parsers of on-disk checkpoint bytes and the decoder of
+# socket frames, 10 s each (tier-1 ran their checked-in corpora as plain
+# tests): no panic, no allocation beyond a small multiple of the input, an
+# accepted input re-encodes to itself.
 go test ./internal/restart -run '^$' -fuzz '^FuzzReadShard$' -fuzztime 10s
 go test ./internal/restart -run '^$' -fuzz '^FuzzReadManifest$' -fuzztime 10s
+go test ./internal/par/socket -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s
 # Chaos smoke: a supervised run with injected faults must complete with
 # conservation intact (tiny grid; exercises crash, rollback, retry; the
 # coupling window overlapped — the default).
@@ -100,8 +102,10 @@ go run ./cmd/esmrun -hours 1 -atmlev 20 -oclev 8 -workers 4 -sums "$SUMS_DIR/atm
 cmp "$SUMS_DIR/atm-w1.txt" "$SUMS_DIR/atm-w4.txt"
 # Transport smoke: the one par.Comm over both of its substrates — four
 # goroutine ranks over channels, four real rank processes over unix
-# sockets — must land on the byte-identical fingerprint (the CI
-# determinism job runs the full ranks × transport matrix). Built to a
+# sockets, then seven (an uneven split of the reduction blocks, so the
+# solver's paired fold carries lists of unequal length) — must land on
+# the byte-identical fingerprint (the CI determinism job runs the full
+# ranks × transport matrix). Built to a
 # binary first: the socket launcher re-execs os.Executable(), which under
 # `go run` is a temp path that may vanish.
 go build -o "$SUMS_DIR/esmrun" ./cmd/esmrun
@@ -109,4 +113,6 @@ go build -o "$SUMS_DIR/esmrun" ./cmd/esmrun
 cmp "$SUMS_DIR/on.txt" "$SUMS_DIR/inproc.txt"
 "$SUMS_DIR/esmrun" -hours 0.5 -ranks 4 -transport socket -sums "$SUMS_DIR/socket.txt" > /dev/null
 cmp "$SUMS_DIR/on.txt" "$SUMS_DIR/socket.txt"
+"$SUMS_DIR/esmrun" -hours 0.5 -ranks 7 -transport socket -sums "$SUMS_DIR/socket7.txt" > /dev/null
+cmp "$SUMS_DIR/on.txt" "$SUMS_DIR/socket7.txt"
 rm -rf "$SUMS_DIR"

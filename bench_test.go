@@ -34,6 +34,7 @@ import (
 	"icoearth/internal/config"
 	"icoearth/internal/coupler"
 	"icoearth/internal/exec"
+	"icoearth/internal/gen"
 	"icoearth/internal/grid"
 	"icoearth/internal/land"
 	"icoearth/internal/machine"
@@ -224,24 +225,28 @@ func BenchmarkHeterogeneousMapping(b *testing.B) {
 	}
 }
 
-// BenchmarkDaCeVsOpenACC regenerates the §5.2 performance figure: the
-// compiled (DaCe) dycore kernels against the interpreter (directive)
-// baseline, real wall-clock at laptop scale.
+// BenchmarkDaCeVsOpenACC regenerates the §5.2 performance figure on the
+// code that ships: the generated ke_vn kernel, bound as the dycore binds
+// it and run as one block, against the interpreter (directive) baseline
+// over the same storage, real wall-clock at laptop scale. The lookup
+// reduction is static: what the source spells out per cell against the
+// hoists of the emitted code.
 func BenchmarkDaCeVsOpenACC(b *testing.B) {
 	g := grid.New(grid.R2B(3))
 	const nlev = 30
-	kine := make([]float64, g.NEdges*nlev)
-	for i := range kine {
-		kine[i] = math.Sin(float64(i) * 1e-3)
-	}
-	sd, bind, _, err := sdfg.BindEkinh(g, nlev, kine)
+	sd, bind, err := sdfg.BindProduction("ke_vn", g, nlev)
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := sdfg.Compile(sd, bind)
+	vn := bind.Fields["vn"]
+	for i := range vn {
+		vn[i] = math.Sin(float64(i) * 1e-3)
+	}
+	bk, err := sdfg.CodegenGoBlocked(sd, bind)
 	if err != nil {
 		b.Fatal(err)
 	}
+	_, occ := sd.IndexLookups(bind.IsTable)
 	b.Run("directives-interpreter", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if err := sdfg.Interpret(sd, bind); err != nil {
@@ -249,11 +254,13 @@ func BenchmarkDaCeVsOpenACC(b *testing.B) {
 			}
 		}
 	})
-	b.Run("dace-compiled", func(b *testing.B) {
+	b.Run("dace-generated", func(b *testing.B) {
+		t := &g.Gen
+		body := gen.BindKeVn(nlev, t.Ke1, t.Ke2, t.Ke3, bind.Fields["ke"], vn, t.Iel1, t.Iel2, t.Iel3)
 		for i := 0; i < b.N; i++ {
-			c.Run()
+			body(0, g.NCells)
 		}
-		b.ReportMetric(float64(c.NaiveLookups)/float64(c.HoistedLookups), "index_lookup_reduction")
+		b.ReportMetric(float64(occ*nlev)/float64(bk.Hoists), "index_lookup_reduction")
 	})
 }
 

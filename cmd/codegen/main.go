@@ -35,7 +35,6 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("codegen", flag.ContinueOnError)
 	fs.SetOutput(out)
 	which := fs.String("kernel", "", "generate only this kernel (default: all)")
-	werror := fs.Bool("Werror", true, "treat static-verifier diagnostics as fatal")
 	outFile := fs.String("out", "", "write the production package to this file (default: stdout)")
 	pkg := fs.String("pkg", "gen", "package name for -out")
 	if err := fs.Parse(args); err != nil {
@@ -56,7 +55,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := verifyGate(sd, b, pk.Name, *werror, out); err != nil {
+		if err := verifyGate(sd, b, pk.Name, out); err != nil {
 			return err
 		}
 		bk, err := sdfg.CodegenGoBlocked(sd, b)
@@ -79,9 +78,10 @@ func run(args []string, out io.Writer) error {
 	return os.WriteFile(*outFile, src, 0o644)
 }
 
-// verifyGate runs the static verifier; emitted code is only as
-// trustworthy as the checked legality of the transformations.
-func verifyGate(sd *sdfg.SDFG, b *sdfg.Bindings, name string, werror bool, out io.Writer) error {
+// verifyGate runs the static verifier and refuses a kernel with any
+// diagnostic (each printed first): emitted code is only as trustworthy as
+// the checked legality of the transformations.
+func verifyGate(sd *sdfg.SDFG, b *sdfg.Bindings, name string, out io.Writer) error {
 	ds := sdfg.Verify(sd, b)
 	if len(ds) == 0 {
 		return nil
@@ -89,8 +89,5 @@ func verifyGate(sd *sdfg.SDFG, b *sdfg.Bindings, name string, werror bool, out i
 	for _, d := range ds {
 		fmt.Fprintf(out, "warning: %s\n", d)
 	}
-	if werror {
-		return fmt.Errorf("codegen: kernel %s failed static verification (%d diagnostics, -Werror)", name, len(ds))
-	}
-	return nil
+	return fmt.Errorf("codegen: kernel %s failed static verification (%d diagnostics)", name, len(ds))
 }

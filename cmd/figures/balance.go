@@ -1,15 +1,9 @@
-// Command balance explores the §5.1.1 heterogeneous load balancing: the
-// CPU-side ocean must stay just below the GPU-side atmosphere so the GPUs
-// never wait ("we essentially run the ocean component for free"), and the
-// shared power budget must leave the memory-bound GPU unthrottled.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
-	"os"
 	"time"
 
 	"icoearth"
@@ -18,14 +12,11 @@ import (
 	"icoearth/internal/perf"
 )
 
-func main() {
-	log.SetFlags(0)
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func run(args []string, out io.Writer) error {
+// balance explores the §5.1.1 heterogeneous load balancing: the CPU-side
+// ocean must stay just below the GPU-side atmosphere so the GPUs never
+// wait ("we essentially run the ocean component for free"), and the
+// shared power budget must leave the memory-bound GPU unthrottled.
+func balance(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("balance", flag.ContinueOnError)
 	minutes := fs.Float64("minutes", 60, "simulated minutes per configuration")
 	gridLev := fs.Int("grid", 0, "grid level override (0 = library default)")

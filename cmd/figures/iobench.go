@@ -1,15 +1,9 @@
-// Command iobench exercises the checkpoint/restart machinery (§6.4, §7):
-// it writes and reads a real multi-file restart of a laptop-scale coupled
-// state (measuring actual disk rates) and projects the paper-scale rates
-// through the parallel-filesystem model (ocean restart: 198.19 GiB/s
-// write, 615.61 GiB/s staggered read with ≤2579 I/O processes).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"time"
 
@@ -18,14 +12,12 @@ import (
 	"icoearth/internal/restart"
 )
 
-func main() {
-	log.SetFlags(0)
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func run(args []string, out io.Writer) error {
+// iobench exercises the checkpoint/restart machinery (§6.4, §7): it
+// writes and reads a real multi-file restart of a laptop-scale coupled
+// state (measuring actual disk rates) and projects the paper-scale rates
+// through the parallel-filesystem model (ocean restart: 198.19 GiB/s
+// write, 615.61 GiB/s staggered read with ≤2579 I/O processes).
+func iobench(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("iobench", flag.ContinueOnError)
 	var (
 		gridLev = fs.Int("grid", 3, "grid level for the real I/O test")

@@ -1,30 +1,21 @@
-// Command scaling regenerates the paper's scaling figures from the
-// calibrated performance model:
-//
-//	scaling -figure 4left    # 1.25 km strong scaling (JUPITER, Alps, weak-scaling ref)
-//	scaling -figure 4right   # 10 km strong scaling (JEDI, Alps)
-//	scaling -figure 2        # Levante CPU vs GPU + energy comparison
-//	scaling -figure taulimit # §4 practical τ limit vs resolution
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
-	"os"
 
 	"icoearth/internal/perf"
 )
 
-func main() {
-	log.SetFlags(0)
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func run(args []string, out io.Writer) error {
+// scaling regenerates the paper's scaling figures from the calibrated
+// performance model:
+//
+//	scaling -figure 4left    # 1.25 km strong scaling (JUPITER, Alps, weak-scaling ref)
+//	scaling -figure 4right   # 10 km strong scaling (JEDI, Alps)
+//	scaling -figure 2        # Levante CPU vs GPU + energy comparison
+//	scaling -figure taulimit # §4 practical τ limit vs resolution
+func scaling(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("scaling", flag.ContinueOnError)
 	figure := fs.String("figure", "4left", "which figure to regenerate: 4left, 4right, 2, taulimit")
 	if err := fs.Parse(args); err != nil {

@@ -17,10 +17,6 @@ type Bindings struct {
 	Fields map[string][]float64 // flattened [h*NInner + k] or [h]
 	Dims   map[string]int       // 1 or 2 subscripts
 	Tables map[string][]int     // index tables (1 subscript)
-
-	// LookupCount counts executed integer index-table lookups; both
-	// backends increment it so the 8× reduction of §5.2 is measurable.
-	LookupCount int64
 }
 
 // NewBindings creates an empty binding set for the given extents.
@@ -60,12 +56,11 @@ func (b *Bindings) IsTable(name string) bool {
 	return ok
 }
 
-// --- Interpreter backend (the "directive" baseline) -------------------------
-
 // Interpret executes the kernel by walking the expression trees once per
 // element per statement: one full sweep over the iteration space per
 // statement, no fusion, no lookup hoisting — the behavioural stand-in for
-// the unfused directive-annotated loops.
+// the unfused directive-annotated loops, and the oracle the emitted Go of
+// codegen_blocked.go is held to bit for bit.
 func Interpret(g *SDFG, b *Bindings) error {
 	if err := g.Validate(b); err != nil {
 		return err
@@ -137,7 +132,6 @@ func evalExpr(e Expr, jc, jk int, k *Kernel, b *Bindings) (float64, error) {
 			return 0, err
 		}
 		if tab, ok := b.Tables[v.Name]; ok {
-			b.LookupCount++
 			return float64(tab[idx]), nil
 		}
 		return b.Fields[v.Name][idx], nil
@@ -179,242 +173,4 @@ func storeLHS(a ArrayRef, jc, jk int, k *Kernel, b *Bindings, v float64) error {
 	}
 	f[idx] = v
 	return nil
-}
-
-// --- Compiled backend (the "DaCe" fast version) ------------------------------
-
-// Compiled is an executable, optimised form of a kernel: statements fused
-// into groups, expressions specialised to closures over the bound slices,
-// and index-table lookups hoisted out of the vertical loop (computed once
-// per horizontal point and reused — the §5.2 index-reuse optimisation).
-type Compiled struct {
-	g    *SDFG
-	b    *Bindings
-	prog []fusedGroup
-	// hoist computes each distinct index lookup once per horizontal point.
-	hoist []func(jc int) int
-
-	// HoistedLookups is the number of distinct lookups executed per
-	// horizontal point (after CSE); NaiveLookups is what the interpreter
-	// executes for the same kernel per horizontal point.
-	HoistedLookups int
-	NaiveLookups   int
-}
-
-type fusedGroup struct {
-	stmts []compiledStmt
-}
-
-type compiledStmt struct {
-	eval  func(jc, jk int, hoisted []int) float64
-	store func(jc, jk int, hoisted []int, v float64)
-}
-
-// Compile builds the optimised executable. The returned Compiled is
-// reusable; Run may be called many times.
-func Compile(g *SDFG, b *Bindings) (*Compiled, error) {
-	if err := g.Validate(b); err != nil {
-		return nil, err
-	}
-	if debugVerify {
-		// Fusion and hoisting preconditions, asserted through the full
-		// static verifier in debug builds.
-		if err := VerifyStrict(g, b); err != nil {
-			return nil, err
-		}
-	}
-	c := &Compiled{g: g, b: b}
-
-	// Hoisting plan: every distinct index-table lookup expression gets a
-	// slot, computed once per jc.
-	distinct, occ := g.IndexLookups(b.IsTable)
-	slot := map[string]int{}
-	for i, d := range distinct {
-		slot[d] = i
-	}
-	c.HoistedLookups = len(distinct)
-	inner := b.NInner
-	if g.K.InnerVar == "" {
-		inner = 1
-	}
-	c.NaiveLookups = occ * inner
-
-	for _, group := range g.FusableGroups() {
-		fg := fusedGroup{}
-		for _, si := range group {
-			st := g.K.Stmts[si]
-			ev, err := compileExpr(st.RHS, g.K, b, slot)
-			if err != nil {
-				return nil, err
-			}
-			storeIdx, err := compileIndex(st.LHS, g.K, b, slot)
-			if err != nil {
-				return nil, err
-			}
-			field := b.Fields[st.LHS.Name]
-			if field == nil {
-				return nil, fmt.Errorf("sdfg: cannot assign to %q", st.LHS.Name)
-			}
-			//icovet:ignore hotalloc compile-time specialisation, not the per-element path
-			fg.stmts = append(fg.stmts, compiledStmt{
-				eval: ev,
-				store: func(jc, jk int, hoisted []int, v float64) {
-					field[storeIdx(jc, jk, hoisted)] = v
-				},
-			})
-		}
-		c.prog = append(c.prog, fg)
-	}
-
-	// The hoist prologue.
-	c.hoist = make([]func(jc int) int, len(distinct))
-	for i, d := range distinct {
-		// Parse the printed lookup back (cheap and robust since lookups
-		// are simple table(expr) forms).
-		e, err := parseExpr(d)
-		if err != nil {
-			return nil, fmt.Errorf("sdfg: internal: reparse %q: %w", d, err)
-		}
-		ar := e.(ArrayRef)
-		tab := b.Tables[ar.Name]
-		// Subscripts of hoisted lookups are compiled without hoist slots
-		// (they may only reference loop variables and other tables).
-		sub, err := compileExpr(ar.Subs[0], g.K, b, map[string]int{})
-		if err != nil {
-			return nil, err
-		}
-		c.hoist[i] = func(jc int) int {
-			return tab[int(sub(jc, 0, nil))]
-		}
-	}
-	if debugVerify && len(c.hoist) != c.HoistedLookups {
-		panic("sdfg: lookup-reuse postcondition: hoist slot count diverged from distinct lookups")
-	}
-	return c, nil
-}
-
-// Run executes the compiled kernel over the full iteration space.
-func (c *Compiled) Run() {
-	b := c.b
-	inner := b.NInner
-	if c.g.K.InnerVar == "" {
-		inner = 1
-	}
-	hoisted := make([]int, len(c.hoist))
-	lo := c.g.K.InnerLo
-	for jc := 0; jc < b.NOuter; jc++ {
-		for i, h := range c.hoist {
-			hoisted[i] = h(jc)
-			b.LookupCount++
-		}
-		for _, fg := range c.prog {
-			for jk := lo; jk < inner; jk++ {
-				for _, st := range fg.stmts {
-					st.store(jc, jk, hoisted, st.eval(jc, jk, hoisted))
-				}
-			}
-		}
-	}
-}
-
-// compileExpr produces a closure evaluating e. Index-table lookups with a
-// hoist slot read the precomputed value instead of chasing the table.
-func compileExpr(e Expr, k *Kernel, b *Bindings, slot map[string]int) (func(jc, jk int, hoisted []int) float64, error) {
-	switch v := e.(type) {
-	case NumLit:
-		val := v.Val
-		return func(int, int, []int) float64 { return val }, nil
-	case VarRef:
-		switch v.Name {
-		case k.OuterVar:
-			return func(jc, _ int, _ []int) float64 { return float64(jc) }, nil
-		case k.InnerVar:
-			return func(_, jk int, _ []int) float64 { return float64(jk) }, nil
-		}
-		return nil, fmt.Errorf("sdfg: unknown variable %q", v.Name)
-	case Neg:
-		x, err := compileExpr(v.X, k, b, slot)
-		if err != nil {
-			return nil, err
-		}
-		return func(jc, jk int, h []int) float64 { return -x(jc, jk, h) }, nil
-	case BinOp:
-		l, err := compileExpr(v.L, k, b, slot)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileExpr(v.R, k, b, slot)
-		if err != nil {
-			return nil, err
-		}
-		switch v.Op {
-		case '+':
-			return func(jc, jk int, h []int) float64 { return l(jc, jk, h) + r(jc, jk, h) }, nil
-		case '-':
-			return func(jc, jk int, h []int) float64 { return l(jc, jk, h) - r(jc, jk, h) }, nil
-		case '*':
-			return func(jc, jk int, h []int) float64 { return l(jc, jk, h) * r(jc, jk, h) }, nil
-		case '/':
-			return func(jc, jk int, h []int) float64 { return l(jc, jk, h) / r(jc, jk, h) }, nil
-		case '^':
-			if n, ok := v.R.(NumLit); ok && n.Val == 2 {
-				return func(jc, jk int, h []int) float64 {
-					x := l(jc, jk, h)
-					return x * x
-				}, nil
-			}
-			return func(jc, jk int, h []int) float64 {
-				return math.Pow(l(jc, jk, h), r(jc, jk, h))
-			}, nil
-		}
-		return nil, fmt.Errorf("sdfg: unknown op %q", string(v.Op))
-	case ArrayRef:
-		if b.IsTable(v.Name) {
-			if si, ok := slot[v.String()]; ok {
-				return func(_, _ int, h []int) float64 { return float64(h[si]) }, nil
-			}
-			tab := b.Tables[v.Name]
-			sub, err := compileExpr(v.Subs[0], k, b, slot)
-			if err != nil {
-				return nil, err
-			}
-			return func(jc, jk int, h []int) float64 {
-				b.LookupCount++
-				return float64(tab[int(sub(jc, jk, h))])
-			}, nil
-		}
-		idx, err := compileIndex(v, k, b, slot)
-		if err != nil {
-			return nil, err
-		}
-		field := b.Fields[v.Name]
-		return func(jc, jk int, h []int) float64 { return field[idx(jc, jk, h)] }, nil
-	}
-	return nil, fmt.Errorf("sdfg: unknown expression %T", e)
-}
-
-// compileIndex produces the flat-index closure of an array reference.
-func compileIndex(a ArrayRef, k *Kernel, b *Bindings, slot map[string]int) (func(jc, jk int, hoisted []int) int, error) {
-	dims, ok := b.Dims[a.Name]
-	if !ok {
-		return nil, fmt.Errorf("sdfg: unbound array %q", a.Name)
-	}
-	if dims != len(a.Subs) {
-		return nil, fmt.Errorf("sdfg: array %q expects %d subscripts, got %d", a.Name, dims, len(a.Subs))
-	}
-	s0, err := compileExpr(a.Subs[0], k, b, slot)
-	if err != nil {
-		return nil, err
-	}
-	if dims == 1 {
-		return func(jc, jk int, h []int) int { return int(s0(jc, jk, h)) }, nil
-	}
-	s1, err := compileExpr(a.Subs[1], k, b, slot)
-	if err != nil {
-		return nil, err
-	}
-	nInner := b.NInner
-	return func(jc, jk int, h []int) int {
-		return int(s0(jc, jk, h))*nInner + int(s1(jc, jk, h))
-	}, nil
 }

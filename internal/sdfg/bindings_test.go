@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// Binding error-path coverage: every backend routes through Validate, so
-// a broken binding set must fail with a typed error naming the offending
-// array — before any backend touches storage.
+// Binding error-path coverage: the interpreter and the emitter both route
+// through Validate, so a broken binding set must fail with a typed error
+// naming the offending array — before storage is touched or a line emitted.
 
 const bindErrSource = `
 KERNEL binderr
@@ -56,12 +56,9 @@ func TestBindingsMissingField(t *testing.T) {
 	if !strings.Contains(err.Error(), `"q"`) {
 		t.Errorf("error does not name the array: %v", err)
 	}
-	// Every backend refuses the same way.
+	// Both executors refuse the same way.
 	if err := Interpret(g, b); !errors.As(err, &miss) {
 		t.Errorf("Interpret = %v, want *ErrMissingArray", err)
-	}
-	if _, err := Compile(g, b); !errors.As(err, &miss) {
-		t.Errorf("Compile = %v, want *ErrMissingArray", err)
 	}
 	if _, err := CodegenGoBlocked(g, b); !errors.As(err, &miss) {
 		t.Errorf("CodegenGoBlocked = %v, want *ErrMissingArray", err)

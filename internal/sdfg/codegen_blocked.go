@@ -27,9 +27,9 @@ import (
 // association exactly (every binary operation is parenthesised), integer
 // subscripts use int arithmetic that agrees with the interpreter's
 // float64-evaluate-then-truncate on all representable indices (< 2⁵³), and
-// no term is reordered or folded — so generated == Compile == Interpret
-// bit for bit: the association order written in the DSL source is the
-// order the shipped code evaluates.
+// no term is reordered or folded — so generated == Interpret bit for
+// bit: the association order written in the DSL source is the order the
+// shipped code evaluates.
 //
 // On top of the hoisted index lookups the emitter performs load CSE:
 // float loads of arrays the kernel never writes are bound to locals —
@@ -75,9 +75,9 @@ func CodegenGoBlocked(g *SDFG, b *Bindings) (*BlockedKernel, error) {
 
 	// Collect referenced arrays and split them by kind, sorted — the
 	// signature contract callers bind against.
-	names := map[string]bool{}
+	names, writes := map[string]bool{}, map[string]bool{}
 	for _, st := range k.Stmts {
-		names[st.Writes()] = true
+		names[st.Writes()], writes[st.Writes()] = true, true
 		for r := range st.Reads() {
 			names[r] = true
 		}
@@ -94,6 +94,24 @@ func CodegenGoBlocked(g *SDFG, b *Bindings) (*BlockedKernel, error) {
 	}
 	sort.Strings(bk.Fields)
 	sort.Strings(bk.Tables)
+
+	// A block body sweeps every fused group for one horizontal point
+	// before the next, while other blocks run theirs: a dependence between
+	// horizontal points — an array the kernel writes, referenced anywhere
+	// but at the outer loop variable itself — can be ordered by neither.
+	// Vertical offsets stay inside the point's column, which the group
+	// split orders.
+	var crossing error
+	for _, st := range k.Stmts {
+		walkRefs(st, func(a ArrayRef, _ bool) {
+			if v, ok := a.Subs[0].(VarRef); writes[a.Name] && !(ok && v.Name == k.OuterVar) && crossing == nil {
+				crossing = fmt.Errorf("sdfg: blocked codegen: kernel %s references its own output as %s; a dependence between horizontal points cannot be ordered inside a block body", k.Name, a.String())
+			}
+		})
+	}
+	if crossing != nil {
+		return nil, crossing
+	}
 
 	em := &blockedEmitter{k: k, b: b, bk: bk}
 	if err := em.planHoists(g); err != nil {
@@ -144,10 +162,6 @@ func CodegenGoBlocked(g *SDFG, b *Bindings) (*BlockedKernel, error) {
 		fmt.Fprintf(&out, "\t\t\th%d := %s[%s] // hoisted: %s\n", em.slot[em.distinct[di]], em.pname(ar.Name), sub, em.distinct[di])
 	}
 
-	writes := map[string]bool{}
-	for _, st := range k.Stmts {
-		writes[st.Writes()] = true
-	}
 	for gi, group := range groups {
 		fmt.Fprintf(&out, "\t\t\t// fused group %d\n", gi)
 		inv, rep, count, err := em.cseLoads(group, writes)
@@ -473,9 +487,9 @@ func allDigits(s string) bool {
 
 // intExpr renders e as a Go int expression when it is exactly computable
 // in integer arithmetic (loop variables, integral literals, hoisted or
-// direct table lookups, and +,-,* thereof). Equivalence with the runtime
-// backends' float64-evaluate-then-truncate holds because index values stay
-// far below 2⁵³.
+// direct table lookups, and +,-,* thereof). Equivalence with the
+// interpreter's float64-evaluate-then-truncate holds because index values
+// stay far below 2⁵³.
 func (em *blockedEmitter) intExpr(e Expr) (string, bool) {
 	switch v := e.(type) {
 	case NumLit:
@@ -513,7 +527,7 @@ func (em *blockedEmitter) intExpr(e Expr) (string, bool) {
 }
 
 // intOrCast renders e as an int: natively when possible, otherwise as a
-// truncating cast of the float64 form (matching the runtime backends).
+// truncating cast of the float64 form (matching the interpreter).
 func (em *blockedEmitter) intOrCast(e Expr) (string, error) {
 	if s, ok := em.intExpr(e); ok {
 		return s, nil

@@ -16,9 +16,7 @@ import (
 // hoisted to integer locals above the level loop, the statements sit in
 // one fused group, and no index table is touched inside the level loop.
 func TestCodegenEkinh(t *testing.T) {
-	g := grid.New(grid.R2B(1))
-	kine := make([]float64, g.NEdges*4)
-	sd, b, _, err := BindEkinh(g, 4, kine)
+	sd, b, err := BindProduction("ke_vn", grid.New(grid.R2B(1)), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,14 +26,14 @@ func TestCodegenEkinh(t *testing.T) {
 	}
 	src := bk.Source
 	for _, want := range []string{
-		"func BindZEkinh(nInner int,",
+		"func BindKeVn(nInner int,",
 		"h0 := iel1[jc]",
 		"h1 := iel2[jc]",
 		"h2 := iel3[jc]",
 		"// fused group 0",
 		"for jc := lo; jc < hi; jc++",
 		"for jk := 0; jk < nInner; jk++",
-		"ekinh[jc*nInner+jk] =",
+		"ke[jc*nInner+jk] =",
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("generated code missing %q:\n%s", want, src)
@@ -48,58 +46,35 @@ func TestCodegenEkinh(t *testing.T) {
 	}
 }
 
-// TestCodegenParsesAsGo: beyond the production set, the emitter must turn
-// every kernel of the demo library — including thetaflux's three-statement
-// fused group with a read-after-write transient — into a package that
-// parses (CodegenPackage runs format.Source over it).
+// TestCodegenParsesAsGo: beyond the production set (assembled and
+// formatted by emitProductionPackage below), the emitter must turn
+// thetaflux's three-statement fused group with a read-after-write
+// transient into a package that parses (CodegenPackage runs format.Source
+// over it).
 func TestCodegenParsesAsGo(t *testing.T) {
 	g := grid.New(grid.R2B(1))
-	kine := make([]float64, g.NEdges*4)
-	for _, bindCase := range []string{"ekinh", "div", "grad", "theta"} {
-		var (
-			sd  *SDFG
-			b   *Bindings
-			err error
-		)
-		switch bindCase {
-		case "ekinh":
-			sd, b, _, err = BindEkinh(g, 4, kine)
-		case "div":
-			sd, b, _, err = BindDivergence(g, 4, kine)
-		case "grad":
-			psi := make([]float64, g.NCells*4)
-			sd, b, _, err = BindGradient(g, 4, psi)
-		case "theta":
-			k, perr := Parse(ThetaFluxSource)
-			if perr != nil {
-				t.Fatal(perr)
-			}
-			sd = Build(k)
-			b = NewBindings(g.NEdges, 4)
-			for _, f := range []string{"rhoe", "flx", "dbg", "vn"} {
-				b.BindField(f, make([]float64, g.NEdges*4), 2)
-			}
-			b.BindField("rho", make([]float64, g.NCells*4), 2)
-			b.BindTable("icell1", g.Gen.Icell1)
-			b.BindTable("icell2", g.Gen.Icell2)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		bk, err := CodegenGoBlocked(sd, b)
-		if err != nil {
-			t.Fatalf("%s: %v", bindCase, err)
-		}
-		if _, err := CodegenPackage("gen", []*BlockedKernel{bk}); err != nil {
-			t.Errorf("%s: generated code does not parse: %v\n%s", bindCase, err, bk.Source)
-		}
+	sd := mustKernel(t, ThetaFluxSource)
+	b := NewBindings(g.NEdges, 4)
+	for _, f := range []string{"rhoe", "flx", "dbg", "vn"} {
+		b.BindField(f, make([]float64, g.NEdges*4), 2)
+	}
+	b.BindField("rho", make([]float64, g.NCells*4), 2)
+	b.BindTable("icell1", g.Gen.Icell1)
+	b.BindTable("icell2", g.Gen.Icell2)
+	bk, err := CodegenGoBlocked(sd, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bk.Groups != 1 {
+		t.Errorf("thetaflux emitted in %d groups, want 1", bk.Groups)
+	}
+	if _, err := CodegenPackage("gen", []*BlockedKernel{bk}); err != nil {
+		t.Errorf("generated code does not parse: %v\n%s", err, bk.Source)
 	}
 }
 
 func TestCodegenDeterministic(t *testing.T) {
-	g := grid.New(grid.R2B(1))
-	kine := make([]float64, g.NEdges*2)
-	sd, b, _, err := BindEkinh(g, 2, kine)
+	sd, b, err := BindProduction("ke_vn", grid.New(grid.R2B(1)), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +92,7 @@ func TestCodegenDeterministic(t *testing.T) {
 }
 
 func TestCodegenUnboundFails(t *testing.T) {
-	k, _ := Parse(EkinhSource)
-	sd := Build(k)
+	sd := mustKernel(t, KeVnSource)
 	if _, err := CodegenGoBlocked(sd, NewBindings(4, 2)); err == nil {
 		t.Error("want error for unbound arrays")
 	}

@@ -2,11 +2,10 @@ package sdfg
 
 import "fmt"
 
-// Typed binding errors. Validate (and through it every backend — the
-// interpreter, Compile, and both code generators) reports binding
-// problems with these types so callers can match them with errors.As and
-// programmatically learn which array is at fault; each message names the
-// array and the kernel.
+// Typed binding errors. Validate (and through it the interpreter and the
+// code generator) reports binding problems with these types so callers
+// can match them with errors.As and programmatically learn which array
+// is at fault; each message names the array and the kernel.
 
 // ErrMissingArray reports a kernel array with no binding at all.
 type ErrMissingArray struct {

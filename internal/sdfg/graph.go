@@ -66,7 +66,6 @@ func (g *SDFG) MarkTransient(name string) { g.Transients[name] = true }
 // EliminateDeadCode removes statements that write transient arrays never
 // read by any later (surviving) statement. Returns the number removed.
 func (g *SDFG) EliminateDeadCode() int {
-	debugCheck(g, nil, "EliminateDeadCode precondition")
 	removed := 0
 	for {
 		neededBy := map[string]bool{}
@@ -92,7 +91,6 @@ func (g *SDFG) EliminateDeadCode() int {
 		}
 	}
 	g.rebuild()
-	debugCheck(g, nil, "EliminateDeadCode postcondition")
 	return removed
 }
 

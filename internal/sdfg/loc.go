@@ -14,6 +14,32 @@ const (
 	PaperCleanLines = 1400
 )
 
+// EkinhDirectiveSource is the paper's featured z_ekinh kernel as it
+// appears in the directive-annotated code base (the §5.2 listing): OpenACC
+// pragmas, vendor directives and a duplicated loop ordering behind a
+// preprocessor macro. Its clean form in this repo is KeVnSource.
+const EkinhDirectiveSource = `!$ACC PARALLEL DEFAULT(PRESENT) ASYNC(1)
+!$ACC LOOP GANG VECTOR TILE(32, 4)
+#ifndef _LOOP_EXCHANGE
+  DO jc = i_startidx, i_endidx
+!DIR$ IVDEP
+    DO jk = 1, nlev
+      z_ekinh(jk,jc,jb) = &
+#else
+!$NEC outerloop_unroll(4)
+  DO jk = 1, nlev
+    DO jc = i_startidx, i_endidx
+      z_ekinh(jc,jk,jb) = &
+#endif
+  p_int%e_bln_c_s(jc,1,jb)*z_kin_hor_e(ieidx(jc,jb,1),jk,ieblk(jc,jb,1)) + &
+  p_int%e_bln_c_s(jc,2,jb)*z_kin_hor_e(ieidx(jc,jb,2),jk,ieblk(jc,jb,2)) + &
+  p_int%e_bln_c_s(jc,3,jb)*z_kin_hor_e(ieidx(jc,jb,3),jk,ieblk(jc,jb,3))
+    ENDDO
+  ENDDO
+!$ACC END PARALLEL
+!$OMP END PARALLEL DO
+`
+
 // StripDirectives removes performance annotations from Fortran-style
 // source, returning the "cleanest form": OpenACC (!$ACC), OpenMP (!$OMP),
 // NEC (!$NEC), Cray/Intel directives (!DIR$, !DEC$), and preprocessor

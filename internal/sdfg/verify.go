@@ -10,9 +10,7 @@ import (
 // separation of concerns sound. Every transformation (dead-code
 // elimination, map fusion, index-lookup hoisting) has preconditions; the
 // verifier checks them *statically*, before codegen, instead of assuming
-// them. cmd/dace and cmd/codegen run it as a mandatory gate, and the
-// passes themselves re-run it as pre/postcondition assertions in debug
-// builds (-tags sdfgdebug).
+// them. cmd/codegen runs it as a mandatory gate before a line is emitted.
 
 // Diagnostic codes. Stable identifiers so tooling (and golden tests) can
 // match on them.
@@ -52,37 +50,6 @@ func Verify(g *SDFG, b *Bindings) []Diagnostic {
 	ds = append(ds, verifyTransientInit(g)...)
 	ds = append(ds, verifyFusion(g)...)
 	return ds
-}
-
-// VerifyStrict is the gate form: it returns an error listing every
-// diagnostic if any check fails.
-func VerifyStrict(g *SDFG, b *Bindings) error {
-	ds := Verify(g, b)
-	if len(ds) == 0 {
-		return nil
-	}
-	msg := fmt.Sprintf("sdfg: kernel %s failed verification (%d diagnostics):", g.K.Name, len(ds))
-	for _, d := range ds {
-		msg += "\n  " + d.String()
-	}
-	return fmt.Errorf("%s", msg)
-}
-
-// debugCheck is the pass-level assertion hook: in debug builds (-tags
-// sdfgdebug) the transformation passes call it with a nil or full binding
-// set to assert their pre/postconditions through the verifier; release
-// builds compile the calls down to nothing.
-func debugCheck(g *SDFG, b *Bindings, when string) {
-	if !debugVerify {
-		return
-	}
-	if ds := Verify(g, b); len(ds) > 0 {
-		msg := fmt.Sprintf("sdfg: %s assertion failed for kernel %s:", when, g.K.Name)
-		for _, d := range ds {
-			msg += "\n  " + d.String()
-		}
-		panic(msg)
-	}
 }
 
 // --- Binding checks: V001 unbound, V002 rank, V003 bounds -----------------

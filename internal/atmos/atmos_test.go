@@ -181,14 +181,14 @@ func TestTracerPositivity(t *testing.T) {
 func TestHeldSuarezEquilibrium(t *testing.T) {
 	hs := DefaultHeldSuarez()
 	// Warm at equatorial surface, floored at 200 K aloft.
-	if te := hs.TEq(0, P0); math.Abs(te-315) > 1e-9 {
+	if te := hs.TEq(0, 1); math.Abs(te-315) > 1e-9 {
 		t.Errorf("equator surface Teq = %v", te)
 	}
-	if te := hs.TEq(math.Pi/2, 1000); te != 200 {
+	if te := hs.TEq(math.Pi/2, 0.27); te != 200 { // Π ≈ 0.27 at 10 hPa
 		t.Errorf("polar stratosphere Teq = %v, want floor 200", te)
 	}
 	// Equator warmer than pole at the surface.
-	if hs.TEq(0, P0) <= hs.TEq(math.Pi/2, P0) {
+	if hs.TEq(0, 1) <= hs.TEq(math.Pi/2, 1) {
 		t.Errorf("no meridional gradient")
 	}
 }
@@ -225,7 +225,7 @@ func TestPhysicsRelaxesToward(t *testing.T) {
 			for k := 0; k < nlev; k++ {
 				i := c*nlev + k
 				T := s.Theta[i] * s.Exner[i]
-				teq := p.HS.TEq(lat, Pressure(s.Exner[i]))
+				teq := p.HS.TEq(lat, s.Exner[i])
 				sum += (T - teq) * (T - teq)
 			}
 		}

@@ -12,8 +12,8 @@ import (
 )
 
 // The reference below is the atmosphere step with none of its sharing and
-// none of its blocking: every consumer evaluates its own math.Pow / math.Cos
-// and divides its own ρθ/ρ, the vertical solve evaluates Exner twice per
+// none of its blocking: every consumer evaluates its own pressure, Held–
+// Suarez function and math.Cos and divides its own ρθ/ρ, the vertical solve evaluates Exner twice per
 // level, the corrector rebuilds vorticity and the KE gradient, the momentum
 // and damping loops are level-outer with an edge-ordered vorticity scatter,
 // tracer transport is four passes per tracer through an edge flux array,
@@ -22,13 +22,45 @@ import (
 // (ekinh, tangential, the flux divergence, the vn updates, sponge). The
 // production step must reproduce it bit for bit.
 
-// refExner, refPressure and refTEq are the thermodynamic functions written
-// with math.Pow, as they stood before they became Pow's own arithmetic.
+// refExner is the equation of state written with math.Pow, whose bits the
+// model's Exp(y·Log x) form returns (TestThermoBitsEqualMathPow).
 func refExner(rhoTheta float64) float64 { return math.Pow(Rd*rhoTheta/P0, Rd/Cvd) }
 
-func refPressure(exner float64) float64 { return P0 * math.Pow(exner, Cpd/Rd) }
+// refThermo is the pressure and the Held–Suarez equilibrium temperature a
+// reference step evaluates wherever it needs one.
+type refThermo struct {
+	pressure func(exner float64) float64
+	teq      func(h HeldSuarez, cos2, sin2, exner float64) float64
+}
 
-func refTEq(h HeldSuarez, cos2, sin2, p float64) float64 {
+// liveThermo is the model's arithmetic written out where it is used: the
+// power 3.5 as Π³·√Π, Held–Suarez in Π. The step must reproduce a
+// reference on it bit for bit.
+var liveThermo = refThermo{
+	pressure: func(exner float64) float64 { return P0 * (exner * exner * exner) * math.Sqrt(exner) },
+	teq: func(h HeldSuarez, cos2, sin2, exner float64) float64 {
+		t := (315 - h.DeltaT*sin2 - h.DeltaZ*(3.5*math.Log(exner))*cos2) * exner
+		if t < 200 {
+			t = 200
+		}
+		return t
+	},
+}
+
+// powThermo is the arithmetic retired by the §17 re-baseline: pressure by
+// math.Pow, Held–Suarez in σ = p/p0 with its own Log and a second Pow. The
+// step must stay near a reference on it; the tests that use it name how
+// near.
+var powThermo = refThermo{
+	pressure: powPressure,
+	teq: func(h HeldSuarez, cos2, sin2, exner float64) float64 {
+		return powTEq(h, cos2, sin2, powPressure(exner))
+	},
+}
+
+func powPressure(exner float64) float64 { return P0 * math.Pow(exner, Cpd/Rd) }
+
+func powTEq(h HeldSuarez, cos2, sin2, p float64) float64 {
 	sig := p / P0
 	t := (315 - h.DeltaT*sin2 - h.DeltaZ*math.Log(sig)*cos2) * math.Pow(sig, Rd/Cpd)
 	if t < 200 {
@@ -228,7 +260,8 @@ func refVerticalSolve(d *Dycore, dt float64) {
 
 // refPhysics is the three physics sweeps with pressure, latitude and the
 // Held–Suarez functions evaluated where they are used, into fresh fluxes.
-func refPhysics(p *Physics, dt float64, bc SurfaceBC) *SurfaceFluxes {
+func refPhysics(p *Physics, dt float64, bc SurfaceBC, th refThermo) *SurfaceFluxes {
+	refPressure := th.pressure
 	s, g, nlev := p.S, p.S.G, p.S.NLev
 	fl := NewSurfaceFluxes(g.NCells)
 	for c := 0; c < g.NCells; c++ {
@@ -246,7 +279,7 @@ func refPhysics(p *Physics, dt float64, bc SurfaceBC) *SurfaceFluxes {
 				kt += (p.HS.Ks - p.HS.Ka) * cos4 * (sig - p.HS.SigmaB) / (1 - p.HS.SigmaB)
 			}
 			cos2 := math.Cos(lat) * math.Cos(lat)
-			teq := refTEq(p.HS, cos2, 1-cos2, pres)
+			teq := th.teq(p.HS, cos2, 1-cos2, exn)
 			T -= dt * kt * (T - teq)
 			if p.MoistureOn {
 				qv := s.Tracers[TracerQV][i]
@@ -331,8 +364,13 @@ func refPhysics(p *Physics, dt float64, bc SurfaceBC) *SurfaceFluxes {
 }
 
 // refStep is Model.Step in the launch order of the model, with the
-// reference pieces in place of the shared-value ones.
+// reference pieces in place of the shared-value ones, on the model's
+// thermodynamic arithmetic.
 func refStep(m *Model, dt float64, bc SurfaceBC) *SurfaceFluxes {
+	return refStepOn(m, dt, bc, liveThermo)
+}
+
+func refStepOn(m *Model, dt float64, bc SurfaceBC, th refThermo) *SurfaceFluxes {
 	s, d := m.State, m.Dyn
 	copy(m.rhoOld, s.Rho)
 	refDiag(s)
@@ -353,7 +391,7 @@ func refStep(m *Model, dt float64, bc SurfaceBC) *SurfaceFluxes {
 	d.sponge(dt)
 	refDiag(s)
 	refTransport(d, dt, m.rhoOld)
-	return refPhysics(m.Phys, dt, bc)
+	return refPhysics(m.Phys, dt, bc, th)
 }
 
 // oracleModel builds the fixture the byte-equality tests step: R2B2, 12
@@ -464,12 +502,28 @@ func TestStepMatchesRecomputingReference(t *testing.T) {
 // plants zero fluxes of both signs next to infinite θ and tracer values
 // and compares the flux and transport sweeps with their references.
 func TestUpwindTiesMatchReference(t *testing.T) {
+	upwindTies(t, liveThermo, requireSameBits)
+}
+
+// TestUpwindTiesNearPowReference: the same with the two lead-in steps of
+// the reference on the retired math.Pow thermodynamics. The planted zeros
+// and infinities are the same on both sides, so every NaN and infinity
+// must fall where the reference has one, and the finite values agree to
+// the tolerance of TestStepNearPowReference.
+func TestUpwindTiesNearPowReference(t *testing.T) {
+	upwindTies(t, powThermo, func(t *testing.T, what string, got, want map[string][]float64) {
+		t.Helper()
+		requireNearFields(t, what, got, want, 1e-9)
+	})
+}
+
+func upwindTies(t *testing.T, th refThermo, require func(t *testing.T, what string, got, want map[string][]float64)) {
 	const dt = 150.0
 	m, bc := oracleModel()
 	ref, _ := oracleModel()
 	for n := 0; n < 2; n++ {
 		m.Step(dt, bc)
-		refStep(ref, dt, bc)
+		refStepOn(ref, dt, bc, th)
 	}
 	m.State.UpdateDiagnostics() // the flux sweep reads a current Theta
 	refDiag(ref.State)
@@ -498,10 +552,10 @@ func TestUpwindTiesMatchReference(t *testing.T) {
 	}
 	sched.Run(m.State.G.NEdges, m.Dyn.parFluxE)
 	refFluxE(ref.Dyn)
-	requireSameBits(t, "flux sweep", fields(m), fields(ref))
+	require(t, "flux sweep", fields(m), fields(ref))
 	m.Dyn.Transport(dt, m.rhoOld)
 	refTransport(ref.Dyn, dt, ref.rhoOld)
-	requireSameBits(t, "transport", fields(m), fields(ref))
+	require(t, "transport", fields(m), fields(ref))
 	var nans int
 	for _, v := range m.State.Tracers[TracerCO2] {
 		if math.IsNaN(v) {
@@ -510,6 +564,61 @@ func TestUpwindTiesMatchReference(t *testing.T) {
 	}
 	if nans == 0 {
 		t.Fatal("no zero flux met an infinite donor: the ties are not exercised")
+	}
+}
+
+// requireNearFields fails on the first element of any field further from
+// want than rel times the field's largest finite magnitude; a NaN or an
+// infinity must sit where want has the same.
+func requireNearFields(t *testing.T, what string, got, want map[string][]float64, rel float64) {
+	t.Helper()
+	var worst float64
+	for name, w := range want {
+		g := got[name]
+		if len(g) != len(w) {
+			t.Fatalf("%s: %s has %d elements, want %d", what, name, len(g), len(w))
+		}
+		var scale float64
+		for _, v := range w {
+			if !math.IsInf(v, 0) && !math.IsNaN(v) {
+				scale = math.Max(scale, math.Abs(v))
+			}
+		}
+		for i := range w {
+			switch {
+			case math.IsNaN(w[i]) || math.IsInf(w[i], 0):
+				if fmt.Sprint(g[i]) != fmt.Sprint(w[i]) {
+					t.Fatalf("%s: %s[%d] = %v, want %v", what, name, i, g[i], w[i])
+				}
+			case !(math.Abs(g[i]-w[i]) <= rel*scale):
+				t.Fatalf("%s: %s[%d] = %v, want %v within %v of %v", what, name, i, g[i], w[i], rel, scale)
+			case g[i] != w[i]:
+				worst = math.Max(worst, math.Abs(g[i]-w[i])/scale)
+			}
+		}
+	}
+	if worst == 0 {
+		t.Errorf("%s: equal to the math.Pow reference to the last bit, so it is not the retired arithmetic", what)
+	}
+	t.Logf("%s: up to %.2g of a field's magnitude from the math.Pow reference", what, worst)
+}
+
+// TestStepNearPowReference: the six steps of the fixture above stay within
+// 1e-9 of every field's magnitude of the recomputing reference on the
+// retired math.Pow thermodynamics. The two differ by a few ulp per
+// pressure and Held–Suarez evaluation, which six steps of the baroclinic
+// fixture carry to 1e-11 of the vertical velocity's magnitude and less
+// elsewhere; a change of formula would show at 1e-6 or more.
+func TestStepNearPowReference(t *testing.T) {
+	const dt, steps = 150.0, 6
+	for _, nlev := range []int{1, 12, 20} {
+		ref, bc := oracleModelLevels(nlev)
+		m, _ := oracleModelLevels(nlev)
+		for n := 0; n < steps; n++ {
+			fl, refFl := m.Step(dt, bc), refStepOn(ref, dt, bc, powThermo)
+			requireNearFields(t, fmt.Sprintf("nlev=%d step %d fluxes", nlev, n), fluxFields(fl), fluxFields(refFl), 1e-9)
+		}
+		requireNearFields(t, fmt.Sprintf("nlev=%d", nlev), modelFields(m), modelFields(ref), 1e-9)
 	}
 }
 
@@ -522,8 +631,8 @@ func TestTeqMatchesTEq(t *testing.T) {
 	for c := 0; c < s.G.NCells; c++ {
 		lat, _ := s.G.CellCenter[c].LatLon()
 		for k := 0; k < s.NLev; k++ {
-			pres := Pressure(s.Exner[c*s.NLev+k])
-			got, want := p.HS.teq(p.cos2[c], 1-p.cos2[c], pres), p.HS.TEq(lat, pres)
+			exn := s.Exner[c*s.NLev+k]
+			got, want := p.HS.teq(p.cos2[c], 1-p.cos2[c], exn), p.HS.TEq(lat, exn)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("cell %d level %d: teq %x, TEq %x", c, k, got, want)
 			}

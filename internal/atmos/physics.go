@@ -30,20 +30,19 @@ func DefaultHeldSuarez() HeldSuarez {
 	}
 }
 
-// TEq returns the Held–Suarez equilibrium temperature at latitude lat and
-// pressure p.
-func (h HeldSuarez) TEq(lat, p float64) float64 {
+// TEq returns the Held–Suarez equilibrium temperature at latitude lat
+// where the Exner function is exner.
+func (h HeldSuarez) TEq(lat, exner float64) float64 {
 	cos2 := math.Cos(lat) * math.Cos(lat)
-	return h.teq(cos2, 1-cos2, p)
+	return h.teq(cos2, 1-cos2, exner)
 }
 
 // teq is TEq on cos²(lat) and sin²(lat) = 1 − cos²(lat), which the column
-// sweep takes from a per-cell table. σ^κ is Exp(κ·Log σ) on the Log the ΔZ
-// term needs anyway: math.Pow(σ, Rd/Cpd) to the bit, by the argument on
-// ExnerFromRhoTheta.
-func (h HeldSuarez) teq(cos2, sin2, p float64) float64 {
-	ls := math.Log(p / P0)
-	t := (315 - h.DeltaT*sin2 - h.DeltaZ*ls*cos2) * math.Exp(Rd/Cpd*ls)
+// sweep takes from a per-cell table. Held & Suarez write it in p/p0:
+// (315 − ΔT·sin² − ΔZ·log(p/p0)·cos²)·(p/p0)^κ. With p/p0 = Π^(Cpd/Rd) and
+// κ = Rd/Cpd the power is Π itself and the logarithm (Cpd/Rd)·Log Π.
+func (h HeldSuarez) teq(cos2, sin2, exner float64) float64 {
+	t := (315 - h.DeltaT*sin2 - h.DeltaZ*(Cpd/Rd*math.Log(exner))*cos2) * exner
 	if t < 200 {
 		t = 200
 	}
@@ -198,7 +197,7 @@ func (p *Physics) bindKernels() {
 				if sig > p.HS.SigmaB {
 					kt += (p.HS.Ks - p.HS.Ka) * cos4 * (sig - p.HS.SigmaB) / (1 - p.HS.SigmaB)
 				}
-				teq := p.HS.teq(cos2, sin2, pres)
+				teq := p.HS.teq(cos2, sin2, exn)
 				T -= dt * kt * (T - teq)
 
 				if p.MoistureOn {

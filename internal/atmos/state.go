@@ -105,31 +105,10 @@ func ExnerFromRhoTheta(rhoTheta float64) float64 {
 	return math.Exp(Rd / Cvd * math.Log(Rd*rhoTheta/P0))
 }
 
-// Pressure returns p = p0·Π^(Cpd/Rd).
+// Pressure returns p = p0·Π^(Cpd/Rd). Cpd/Rd is 3.5 exactly, so the power
+// is Π³·√Π: three multiplies and a square root, no Log and no Exp.
 func Pressure(exner float64) float64 {
-	return P0 * pow35(exner)
-}
-
-// pow35 is math.Pow(x, 3.5) (Cpd/Rd is 3.5 exactly) unrolled: Pow splits
-// the exponent into 3 + ½, takes x^½ as Exp(½·Log(x)) and x³ as two
-// mantissa products from Frexp with the binary exponents summed for one
-// closing Ldexp. Same operations in the same order, so the same bits for
-// every x but −0 (−0 here, +0 from Pow) and −Inf (NaN here, +Inf from
-// Pow); Exner is positive, and neither result is physical.
-func pow35(x float64) float64 {
-	a1 := math.Exp(0.5 * math.Log(x))
-	x1, xe := math.Frexp(x)
-	a1 *= x1 // bit 0 of 3
-	ae := xe
-	x1 *= x1
-	xe <<= 1
-	if x1 < .5 {
-		x1 += x1
-		xe--
-	}
-	a1 *= x1 // bit 1 of 3
-	ae += xe
-	return math.Ldexp(a1, ae)
+	return P0 * (exner * exner * exner) * math.Sqrt(exner)
 }
 
 // Temperature returns T = θ·Π.

@@ -28,13 +28,12 @@ func BenchmarkSinkingKernel(b *testing.B) {
 
 var carbonateSink float64
 
-// BenchmarkCarbonateSolver times one solve (60 bisection steps) per op over
-// inputs that vary from solve to solve, as the kernel's do: with one fixed
-// triple the branch predictor learns all 60 outcomes of the scalar solver
-// and it reads a third faster than it runs in the kernel. "lanes" is the
-// production solver (four solves per call), "scalar" the retired one.
+// BenchmarkCarbonateSolver times one solve per op over inputs that vary
+// from solve to solve, as the kernel's do: "closed" is the production
+// root, "bisection" the retired 60-step solver (with one fixed triple the
+// branch predictor would learn all 60 of its outcomes).
 func BenchmarkCarbonateSolver(b *testing.B) {
-	const n = 1 << 10 // a multiple of lanes
+	const n = 1 << 10
 	rng := rand.New(rand.NewSource(1))
 	var dic, alk, tC [n]float64
 	for i := range dic {
@@ -42,20 +41,17 @@ func BenchmarkCarbonateSolver(b *testing.B) {
 		alk[i] = dic[i] * (1.05 + 0.1*rng.Float64())
 		tC[i] = -2 + 32*rng.Float64()
 	}
-	b.Run("lanes", func(b *testing.B) {
-		for i := 0; i < b.N; i += lanes {
-			j := i % n
-			_, co2 := solveCarbonateLanes((*[lanes]float64)(dic[j:]), (*[lanes]float64)(alk[j:]), (*[lanes]float64)(tC[j:]))
-			carbonateSink += co2[0]
-		}
-	})
-	b.Run("scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			j := i % n
-			_, co2 := oracleSolveCarbonate(dic[j], alk[j], tC[j])
-			carbonateSink += co2
-		}
-	})
+	for name, solve := range map[string]func(dic, alk, tC float64) (h, co2 float64){
+		"closed": SolveCarbonate, "bisection": oracleSolveCarbonate,
+	} {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				j := i % n
+				_, co2 := solve(dic[j], alk[j], tC[j])
+				carbonateSink += co2
+			}
+		})
+	}
 }
 
 func BenchmarkAirSeaFlux(b *testing.B) {

@@ -12,12 +12,14 @@ import (
 
 // The kernels this package ran until PR 21, kept as byte-equality
 // references: one math.Pow and one math.Exp per wet cell-level in the
-// ecosystem, a serial scalar bisection per surface cell in the air–sea
-// exchange, one sweep per particle tracer in the sinking. They recompute
-// everything from State and Params on every call and run on the calling
-// goroutine.
+// ecosystem, a serial per-cell air–sea exchange, one sweep per particle
+// tracer in the sinking. They recompute everything from State and Params on
+// every call and run on the calling goroutine.
 
-// oracleSolveCarbonate is the scalar bisection on the alkalinity balance.
+// oracleSolveCarbonate is the solve the §17 re-baseline retired: 60
+// bisections of the alkalinity balance on the geometric mean of a pH
+// bracket. The closed-form root must stay near it; the tests that use it
+// name how near.
 func oracleSolveCarbonate(dic, alk, tC float64) (h, co2 float64) {
 	if dic <= 0 || alk <= 0 {
 		return 1e-8, 0
@@ -49,14 +51,19 @@ func oraclePCO2(dic, alk, tC float64) float64 {
 	return co2 / k0CO2(tC) * 1e3
 }
 
+// oracleAirSeaFlux is the retired serial exchange on the live solver.
 func oracleAirSeaFlux(s *State, dt float64, pco2Atm, wind, iceFrac []float64) {
+	oracleAirSeaFluxOn(s, dt, pco2Atm, wind, iceFrac, PCO2)
+}
+
+func oracleAirSeaFluxOn(s *State, dt float64, pco2Atm, wind, iceFrac []float64, pco2Of func(dic, alk, tC float64) float64) {
 	oc := s.Oc
 	nlev := oc.NLev
 	dz0 := oc.Vert.Thickness(0)
 	for i := range oc.Cells {
 		idx := i * nlev
 		tC := oc.Temp[idx]
-		pOc := oraclePCO2(s.Tracers[TrDIC][idx], s.Tracers[TrAlk][idx], tC)
+		pOc := pco2Of(s.Tracers[TrDIC][idx], s.Tracers[TrAlk][idx], tC)
 		k := GasTransferVelocity(wind[i]) * (1 - iceFrac[i])
 		flux := k * k0CO2(tC) * (pco2Atm[i] - pOc) * 1e-3
 		maxOut := s.Tracers[TrDIC][idx] * dz0 / dt * 0.5
@@ -411,47 +418,87 @@ func TestFixedPowBitsEqualMathPow(t *testing.T) {
 	}
 }
 
-// TestLaneSolverMatchesScalar: every lane of the lockstep solver returns
-// the scalar bisection's bits whatever its neighbours hold, including a
-// non-positive DIC or alkalinity in each lane position.
-func TestLaneSolverMatchesScalar(t *testing.T) {
+// TestSolveCarbonateNearBisection: the closed-form root stays within 1e-12
+// relative of the retired 60-step bisection, in [H⁺], dissolved CO₂ and
+// pCO₂, over DIC 1.5…2.5, alkalinity 1.8…2.8 mol/m³ and −2…32 °C — both
+// signs of the quadratic's linear coefficient, alk on either side of DIC —
+// and takes the bisection's way out of every degenerate input: (1e-8, 0)
+// for a non-positive DIC or alkalinity, the lower bound hLo where
+// alk ≥ 2·dic leaves no positive root.
+func TestSolveCarbonateNearBisection(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	draw := func() (dic, alk, tC float64) {
-		dic = 1.7 + 0.8*rng.Float64()
-		return dic, dic * (0.95 + 0.25*rng.Float64()), -2 + 32*rng.Float64()
-	}
-	for n := 0; n < 2000; n++ {
-		var dic, alk, tC [lanes]float64
-		for l := range dic {
-			dic[l], alk[l], tC[l] = draw()
-		}
-		switch bad := n % (3 * lanes); {
-		case bad < lanes:
-			dic[bad] = 0
-		case bad < 2*lanes:
-			alk[bad-lanes] = -1
-		}
-		h, co2 := solveCarbonateLanes(&dic, &alk, &tC)
-		for l := range dic {
-			wh, wco2 := oracleSolveCarbonate(dic[l], alk[l], tC[l])
-			if math.Float64bits(h[l]) != math.Float64bits(wh) || math.Float64bits(co2[l]) != math.Float64bits(wco2) {
-				t.Fatalf("lane %d of (%v, %v, %v): (%v, %v), scalar gives (%v, %v)", l, dic, alk, tC, h[l], co2[l], wh, wco2)
-			}
-		}
-		sh, sco2 := SolveCarbonate(dic[1], alk[1], tC[1])
-		wh, wco2 := oracleSolveCarbonate(dic[1], alk[1], tC[1])
-		if sh != wh || sco2 != wco2 {
-			t.Fatalf("SolveCarbonate(%v, %v, %v) = (%v, %v), scalar gives (%v, %v)", dic[1], alk[1], tC[1], sh, sco2, wh, wco2)
-		}
-		if got, want := PCO2(dic[2], alk[2], tC[2]), oraclePCO2(dic[2], alk[2], tC[2]); got != want {
-			t.Fatalf("PCO2(%v, %v, %v) = %v, scalar gives %v", dic[2], alk[2], tC[2], got, want)
+	near := func(what string, got, want, dic, alk, tC float64) {
+		t.Helper()
+		if rel := math.Abs(got-want) / want; !(rel <= 1e-12) {
+			t.Fatalf("%s(%v, %v, %v) = %v, bisection gives %v (relative %v, allowed 1e-12)", what, dic, alk, tC, got, want, rel)
 		}
 	}
-	if h, co2 := SolveCarbonate(0, 2.3, 15); h != 1e-8 || co2 != 0 {
-		t.Errorf("SolveCarbonate(0, ·) = (%v, %v), want (1e-8, 0)", h, co2)
+	var acidSide, baseSide int
+	for n := 0; n < 200_000; n++ {
+		dic, alk, tC := 1.5+rng.Float64(), 1.8+rng.Float64(), -2+34*rng.Float64()
+		if alk < dic {
+			acidSide++
+		} else {
+			baseSide++
+		}
+		h, co2 := SolveCarbonate(dic, alk, tC)
+		wh, wco2 := oracleSolveCarbonate(dic, alk, tC)
+		near("h", h, wh, dic, alk, tC)
+		near("co2", co2, wco2, dic, alk, tC)
+		near("PCO2", PCO2(dic, alk, tC), oraclePCO2(dic, alk, tC), dic, alk, tC)
 	}
-	if h, co2 := SolveCarbonate(2, -1, 15); h != 1e-8 || co2 != 0 {
-		t.Errorf("SolveCarbonate(·, −1) = (%v, %v), want (1e-8, 0)", h, co2)
+	if acidSide == 0 || baseSide == 0 {
+		t.Fatalf("draws cover one sign of alk−dic only: %d below, %d above", acidSide, baseSide)
+	}
+	for _, in := range [][3]float64{{0, 2.3, 15}, {-1, 2.3, 15}, {2, 0, 15}, {2, -1, 15}} {
+		h, co2 := SolveCarbonate(in[0], in[1], in[2])
+		wh, wco2 := oracleSolveCarbonate(in[0], in[1], in[2])
+		if h != 1e-8 || co2 != 0 || wh != h || wco2 != co2 {
+			t.Errorf("SolveCarbonate(%v) = (%v, %v), bisection (%v, %v), want (1e-8, 0)", in, h, co2, wh, wco2)
+		}
+	}
+	for _, in := range [][3]float64{{1, 2, 15}, {1, 2.5, 0}, {0.5, 2.8, 30}} {
+		h, co2 := SolveCarbonate(in[0], in[1], in[2])
+		wh, wco2 := oracleSolveCarbonate(in[0], in[1], in[2])
+		if h != hLo {
+			t.Errorf("SolveCarbonate(%v): h = %v, want the lower bound %v", in, h, hLo)
+		}
+		near("h at the bound", h, wh, in[0], in[1], in[2])
+		near("co2 at the bound", co2, wco2, in[0], in[1], in[2])
+	}
+}
+
+// TestAirSeaNearBisectionKernel: 24 exchanges on the closed-form root leave
+// surface DIC, the cumulative exchange and the flux within 1e-11 of each
+// field's magnitude of the retired kernel on the bisection.
+func TestAirSeaNearBisectionKernel(t *testing.T) {
+	got, want := oraclePair(oracleTemps[1].set)
+	_, pco2, wind, ice := surfaceFields(got.Oc)
+	rng := rand.New(rand.NewSource(5))
+	for i := range wind {
+		wind[i] = 15 * rng.Float64()
+		ice[i] = math.Max(0, 2*rng.Float64()-1)
+		pco2[i] = 280 + 400*rng.Float64()
+	}
+	for n := 0; n < oracleSteps; n++ {
+		got.AirSeaFluxKernel(1800, pco2, wind, ice)
+		oracleAirSeaFluxOn(want, 1800, pco2, wind, ice, oraclePCO2)
+	}
+	for name, f := range map[string][2][]float64{
+		"DIC":         {got.Tracers[TrDIC], want.Tracers[TrDIC]},
+		"CumAirSea":   {got.CumAirSea, want.CumAirSea},
+		"LastCO2Flux": {got.LastCO2Flux, want.LastCO2Flux},
+	} {
+		var scale, worst float64
+		for _, v := range f[1] {
+			scale = math.Max(scale, math.Abs(v))
+		}
+		for j := range f[1] {
+			worst = math.Max(worst, math.Abs(f[0][j]-f[1][j])/scale)
+		}
+		if !(worst <= 1e-11) || worst == 0 && name != "DIC" {
+			t.Errorf("%s: %v of its magnitude from the bisection kernel (allowed 1e-11, and not 0)", name, worst)
+		}
 	}
 }
 
@@ -465,11 +512,11 @@ func truncated(oc *ocean.State, n int) *ocean.State {
 	return &cut
 }
 
-// TestAirSeaRemainders: the last group of a range is 1…4 cells long — at
-// one worker the range is all of NOcean, at three it is a sched block of
-// 1…7 cells — with a dead cell (DIC, then alkalinity, ≤ 0) moved through
-// the lane positions; a dead cell has the scalar path's (1e-8, 0), no
-// dissolved CO₂, so the ocean side of its gradient vanishes.
+// TestAirSeaRemainders: ranges of every small length — at one worker the
+// range is all of NOcean, at three it is a sched block of 1…7 cells — with
+// a dead cell (DIC, then alkalinity, ≤ 0) moved through the first eight
+// positions; a dead cell has (1e-8, 0), no dissolved CO₂, so the ocean
+// side of its gradient vanishes.
 func TestAirSeaRemainders(t *testing.T) {
 	defer sched.SetWorkers(0)
 	full, _, _ := testSetup()
@@ -479,7 +526,7 @@ func TestAirSeaRemainders(t *testing.T) {
 			oc := truncated(full, n)
 			got, want := NewState(oc), NewState(oc)
 			_, pco2, wind, ice := surfaceFields(oc)
-			for dead := 0; dead < min(n, 2*lanes); dead++ {
+			for dead := 0; dead < min(n, 8); dead++ {
 				for _, kill := range []struct {
 					tr int
 					v  float64

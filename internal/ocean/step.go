@@ -30,10 +30,10 @@ func NewForcing(n int) *Forcing {
 // Dynamics advances the ocean state; it owns the barotropic solver and the
 // scratch space of the baroclinic step. All kernels run as blocked loops
 // on the shared worker pool: cell/edge sweeps are elementwise-disjoint
-// with levels innermost, the transport sweep gathers each cell's edge
-// fluxes into a column nobody else writes, and column sweeps take their
-// scratch per worker slot — every decomposition is worker-count-invariant,
-// so ocean results are bit-identical at any width.
+// with levels innermost, the transport sweep forms each cell's new column
+// from old columns into an output buffer nobody else writes, and column
+// sweeps take their scratch per worker slot — every decomposition is
+// worker-count-invariant, so ocean results are bit-identical at any width.
 type Dynamics struct {
 	S  *State
 	Op *BarotropicOp
@@ -57,20 +57,21 @@ type Dynamics struct {
 	// Coriolis at ocean edges; Perot weights for the barotropic mode.
 	fEdge []float64
 
-	// Geometry tables: cell volume per cell×level, and the factorised
-	// vertical-diffusion tridiagonal per wet-depth class (see ensureTri),
-	// valid for the (dt, VertDiffT) bit patterns in triKey.
-	vol              []float64
-	triM, triB, triC []float64
+	// Geometry tables: reciprocal cell volume per cell×level, and the
+	// factorised vertical-diffusion tridiagonal per wet-depth class (see
+	// ensureTri), valid for the (dt, VertDiffT) bit patterns in triKey.
+	rvol             []float64
+	triM, triR, triC []float64
 	triKey           [2]uint64
 
 	// Scratch.
 	rhs   []float64
-	eFlux []float64 // barotropic volume flux per edge
-	w     []float64 // level divergence, one stripe per worker slot
-	pad   []float64 // all-zero columns, trGroup per worker slot: unused solveColumns lanes
-	trOut []float64 // transport-sweep output, trGroup fields
-	pBar  []float64 // baroclinic pressure anomaly / ρ0, per cell×level
+	eFlux []float64        // barotropic volume flux per edge
+	w     []float64        // level divergence, one stripe per worker slot
+	pad   []float64        // all-zero columns, trGroup per worker slot: unused solveColumns lanes
+	coef  [][nCoef]float64 // transport-sweep weights per cell×level
+	trOut []float64        // transport-sweep output, trGroup fields
+	pBar  []float64        // baroclinic pressure anomaly / ρ0, per cell×level
 
 	// Pre-bound worker-pool bodies; per-call parameters pass through the
 	// fields below so steady-state dispatch is allocation-free.
@@ -78,14 +79,15 @@ type Dynamics struct {
 	parRhsEdge, parRhsCell func(lo, hi int)
 	parUbCorr              func(lo, hi int)
 	parVolFlux             func(lo, hi int)
-	parAdvVert, parMix     func(slot, lo, hi int)
+	parContinuity, parMix  func(slot, lo, hi int)
 	parConv                func(lo, hi int)
+	parCoef                func(lo, hi int)
 	parTr                  func(slot, lo, hi int)
 	parTrCopy              func(lo, hi int)
 	stepDt                 float64
 	stepF                  *Forcing
 	trQ                    [][]float64  // the sweep's current tracer group
-	trVert                 bool         // sweep includes the vertical part
+	trDiffuse              bool         // sweep ends with the diffusion solve
 	qs                     [2][]float64 // argument vector of the one- and two-field sweeps
 }
 
@@ -105,10 +107,11 @@ func NewDynamics(s *State, dt float64) *Dynamics {
 	d.eFlux = make([]float64, ne)
 	d.pBar = make([]float64, n*nlev)
 	d.trOut = make([]float64, trGroup*n*nlev)
-	d.vol = make([]float64, n*nlev)
+	d.coef = make([][nCoef]float64, n*nlev)
+	d.rvol = make([]float64, n*nlev)
 	for i, c := range s.Cells {
 		for k := 0; k < nlev; k++ {
-			d.vol[i*nlev+k] = s.G.CellArea[c] * s.Vert.Thickness(k)
+			d.rvol[i*nlev+k] = 1 / (s.G.CellArea[c] * s.Vert.Thickness(k))
 		}
 	}
 	d.fEdge = make([]float64, ne)
@@ -188,19 +191,17 @@ func (d *Dynamics) barotropic(dt float64, f *Forcing) error {
 	return nil
 }
 
-// advectTS transports temperature and salinity with donor-cell upwind
-// horizontal fluxes of the total (baroclinic+barotropic) velocity, storing
-// the mass fluxes for the BGC tracers, and upwind vertical advection with
-// the continuity-implied vertical velocity. Three passes: the edge volume
-// fluxes (edge-parallel), the horizontal half of the transport sweep for
-// T and S, then continuity and vertical advection column by column.
+// advectTS transports temperature and salinity with the donor-cell upwind
+// fluxes of the total (baroclinic+barotropic) velocity and of the
+// continuity-implied vertical velocity, storing both mass fluxes for the
+// BGC tracers. Three passes: the edge volume fluxes (edge-parallel),
+// continuity column by column, then the transport sweep for T and S.
 func (d *Dynamics) advectTS(dt float64) {
 	d.ensureColumnScratch()
-	d.stepDt = dt
 	sched.Run(len(d.S.Edges), d.parVolFlux)
+	sched.RunIndexed(len(d.S.Cells), d.parContinuity)
 	d.qs[0], d.qs[1] = d.S.Temp, d.S.Salt
 	d.sweepTracers(d.qs[:], dt, false)
-	sched.RunIndexed(len(d.S.Cells), d.parAdvVert)
 }
 
 // verticalMixing applies implicit vertical diffusion to T and S, with the
@@ -346,13 +347,12 @@ func (d *Dynamics) bindKernels() {
 		}
 	}
 
-	// Vertical: w from continuity (integrate horizontal divergence from the
-	// bottom), then upwind advection of T/S; columns are independent.
-	d.parAdvVert = func(slot, lo, hi int) {
+	// Vertical volume fluxes from continuity (integrate the horizontal
+	// divergence from the bottom); columns are independent.
+	d.parContinuity = func(slot, lo, hi int) {
 		s := d.S
 		g := s.G
 		nlev := s.NLev
-		dt := d.stepDt
 		w := d.w[slot*(nlev+1) : (slot+1)*(nlev+1)]
 		for i := lo; i < hi; i++ {
 			c := s.Cells[i]
@@ -383,11 +383,6 @@ func (d *Dynamics) bindKernels() {
 				s.MassFluxVert[i*(nlev+1)+k] = cum
 			}
 			s.MassFluxVert[i*(nlev+1)] = 0
-			// Upwind vertical advection of T and S.
-			mfv := s.MassFluxVert[i*(nlev+1) : (i+1)*(nlev+1)]
-			vol := d.vol[i*nlev : (i+1)*nlev]
-			advectColumnUpwind(s.Temp[i*nlev:(i+1)*nlev], mfv, vol, wet, dt)
-			advectColumnUpwind(s.Salt[i*nlev:(i+1)*nlev], mfv, vol, wet, dt)
 		}
 	}
 
@@ -433,7 +428,7 @@ func (d *Dynamics) bindKernels() {
 		}
 	}
 
-	d.bindTracer()
+	d.parCoef, d.parTr, d.parTrCopy = d.coefCells, d.stencilCells, d.copyBackCells
 }
 
 // eastComponentOcean projects local east onto the normal of edge e.

@@ -38,11 +38,16 @@ func TestProductionStyleDay(t *testing.T) {
 	if err := sim.ES.Oc.State.CheckFinite(); err != nil {
 		t.Fatal(err)
 	}
-	if rel := math.Abs(d1.TotalWaterKg-d0.TotalWaterKg) / d0.TotalWaterKg; rel > 1e-9 {
-		t.Errorf("water drift over 12h = %e", rel)
+	// The drift is logged so that "no worse" (DESIGN.md §17, condition 2)
+	// is a comparison of numbers; EXPERIMENTS.md records them per PR.
+	water := math.Abs(d1.TotalWaterKg-d0.TotalWaterKg) / d0.TotalWaterKg
+	carbon := math.Abs(d1.TotalCarbonKg-d0.TotalCarbonKg) / d0.TotalCarbonKg
+	t.Logf("12 h drift: water %.3e, carbon %.3e (relative)", water, carbon)
+	if water > 1e-9 {
+		t.Errorf("water drift over 12h = %e", water)
 	}
-	if rel := math.Abs(d1.TotalCarbonKg-d0.TotalCarbonKg) / d0.TotalCarbonKg; rel > 1e-6 {
-		t.Errorf("carbon drift over 12h = %e", rel)
+	if carbon > 1e-6 {
+		t.Errorf("carbon drift over 12h = %e", carbon)
 	}
 	if d1.MeanSST < -3 || d1.MeanSST > 35 {
 		t.Errorf("mean SST = %v after 12h", d1.MeanSST)

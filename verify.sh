@@ -98,10 +98,17 @@ cmp "$SUMS_DIR/on.txt" "$SUMS_DIR/off.txt"
 # Atmosphere-heavy pair: the runs above have 10 atmosphere levels; 20 (the
 # benchmark's atm_bound shape) put the physics and column sweeps, block
 # boundaries included, under the workers {1,4} check where they dominate
-# (CI runs this pair and the ocean-heavy 6/12 one).
+# (CI runs this pair too).
 go run ./cmd/esmrun -hours 1 -atmlev 20 -oclev 8 -workers 1 -sums "$SUMS_DIR/atm-w1.txt" > /dev/null
 go run ./cmd/esmrun -hours 1 -atmlev 20 -oclev 8 -workers 4 -sums "$SUMS_DIR/atm-w4.txt" > /dev/null
 cmp "$SUMS_DIR/atm-w1.txt" "$SUMS_DIR/atm-w4.txt"
+# Ocean-heavy pair: 6 atmosphere and 12 ocean levels (the benchmark's
+# ocean_bound shape) make the transport sweep's coefficient and stencil
+# passes, block boundaries included, the bulk of the work (CI runs this
+# pair too).
+go run ./cmd/esmrun -hours 1 -atmlev 6 -oclev 12 -workers 1 -sums "$SUMS_DIR/ocean-w1.txt" > /dev/null
+go run ./cmd/esmrun -hours 1 -atmlev 6 -oclev 12 -workers 4 -sums "$SUMS_DIR/ocean-w4.txt" > /dev/null
+cmp "$SUMS_DIR/ocean-w1.txt" "$SUMS_DIR/ocean-w4.txt"
 # Transport smoke: the one par.Comm over both of its substrates — four
 # goroutine ranks over channels, four real rank processes over unix
 # sockets, then seven (an uneven split of the reduction blocks, so the

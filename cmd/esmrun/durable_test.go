@@ -34,7 +34,7 @@ func TestDurableResumeSumsIdentical(t *testing.T) {
 		t.Errorf("missing completion line:\n%s", out)
 	}
 
-	// The "interrupted" run: same store, stopped two windows early.
+	// The "interrupted" run: same store, stopped one window early.
 	store := filepath.Join(dir, "store")
 	if out, err := runTiny(t, "-hours", "0.2", "-ckpt-dir", store); err != nil {
 		t.Fatalf("partial durable run: %v\n%s", err, out)
@@ -127,7 +127,7 @@ func TestResumeExitCodes(t *testing.T) {
 // anything are rejected before any simulation is built.
 func TestDurableFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
-		{"-chaos", "seed=1", "-ckpt-dir", "x"},
+		{"-ranks", "2", "-resume", "x"},
 		{"-ckpt-dir", "x", "-resume", "y"},
 		{"-crash-at", "window=1"},
 	} {

@@ -3,6 +3,8 @@
 // library:
 //
 //	esmrun -hours 6 -grid 2 -atmlev 10
+//
+// Plain, durable, chaos and N-rank runs all go through runSim (DESIGN.md §8.4).
 package main
 
 import (
@@ -39,7 +41,7 @@ var (
 const (
 	exitResumeMissing = 3 // -resume target absent, or no generation ever published
 	exitAllCorrupt    = 4 // generations exist but every one failed validation
-	exitSimFault      = 5 // supervised run failed beyond all retries/degradations
+	exitSimFault      = 5 // a window failed (supervised: beyond all retries/degradations)
 )
 
 func exitCode(err error) int {
@@ -62,317 +64,214 @@ func main() {
 	}
 }
 
+// runConfig is what every rank's runSim reads: the parsed flags, the chaos
+// and kill specs already validated. Nothing writes it once run hands it out.
+type runConfig struct {
+	opts                          icoearth.Options
+	hours                         float64
+	transport, ckptDir, resume    string
+	sums, ckpt, report, tracePath string
+	chaos, supervised             bool
+	seed                          uint64
+	plan                          fault.Plan
+	kill                          *fault.KillSpec
+}
+
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("esmrun", flag.ContinueOnError)
-	var (
-		hours   = fs.Float64("hours", 3, "simulated hours to run")
-		gridLev = fs.Int("grid", 2, "icosahedral grid level (R2B<level>)")
-		atmLev  = fs.Int("atmlev", 10, "atmosphere levels")
-		ocLev   = fs.Int("oclev", 8, "ocean levels")
-		atmDt   = fs.Float64("atmdt", 120, "atmosphere timestep (s)")
-		workers = fs.Int("workers", 0, "kernel worker-pool width (0 = GOMAXPROCS); results are bit-identical at every width")
-		overlap = fs.Bool("overlap", true, "overlap the ocean+BGC window with the atmosphere window (results are bit-identical either way)")
-		sums    = fs.String("sums", "", "write exact (hex-float) conservation totals to this file for byte-for-byte determinism diffs")
-		bgcConc = fs.Bool("bgc-concurrent", false, "run biogeochemistry concurrently on its own GPU device")
-		noGraph = fs.Bool("no-graphs", false, "disable CUDA-Graph capture for land kernels")
-		ckpt    = fs.String("checkpoint", "", "directory to write a restart at the end")
-		ckptDir = fs.String("ckpt-dir", "",
-			"durable checkpoint store: run supervised, publishing a fsynced checkpoint generation every coupling window (overlapped with the next window); kill the process at any instant and -resume continues bit-identically")
-		resume = fs.String("resume", "",
-			"resume from the newest valid generation of a durable checkpoint store (written with -ckpt-dir) and keep checkpointing into it")
-		crashAt = fs.String("crash-at", "",
-			"self-SIGKILL at a kill point (window=N or write=SITE[:N]) — crash-harness testing of the durable store")
-		report = fs.String("report", "",
-			"write the supervised RunReport as JSON to this file (written even when the run fails; the failure is recorded in it)")
-		chaos = fs.String("chaos", "",
-			"run under the fault-injecting supervisor: seed=N[,plan=crash@1:dycore;nan@2:atm.qv;...] (empty plan = auto)")
-		chaosReport = fs.String("chaos-report", "", "write the chaos RunReport as JSON to this file")
-		traceOut    = fs.String("trace", "",
-			"record a run trace and write Chrome trace-event JSON to this file (open in chrome://tracing or ui.perfetto.dev)")
-		ranks     = fs.Int("ranks", 1, "number of ranks; each owns a contiguous SFC shard of the ocean for the distributed barotropic solve (results are bit-identical at every rank count)")
-		transport = fs.String("transport", "inproc", "rank transport: inproc (goroutines + channels) or socket (one OS process per rank over unix sockets)")
-	)
+	var rc runConfig
+	o := &rc.opts
+	fs.Float64Var(&rc.hours, "hours", 3, "simulated hours to run, rounded up to whole coupling windows")
+	fs.IntVar(&o.GridLevel, "grid", 2, "icosahedral grid level (R2B<level>)")
+	fs.IntVar(&o.AtmosphereLevels, "atmlev", 10, "atmosphere levels")
+	fs.IntVar(&o.OceanLevels, "oclev", 8, "ocean levels")
+	fs.Float64Var(&o.AtmosphereDt, "atmdt", 120, "atmosphere timestep (s)")
+	fs.IntVar(&o.Workers, "workers", 0, "kernel worker-pool width (0 = GOMAXPROCS); results are bit-identical at every width")
+	overlap := fs.Bool("overlap", true, "overlap the ocean+BGC window with the atmosphere window (results are bit-identical either way)")
+	fs.StringVar(&rc.sums, "sums", "", "write exact (hex-float) conservation totals to this file for byte-for-byte determinism diffs")
+	fs.BoolVar(&o.BGCConcurrent, "bgc-concurrent", false, "run biogeochemistry concurrently on its own GPU device")
+	fs.BoolVar(&o.DisableLandGraphs, "no-graphs", false, "disable CUDA-Graph capture for land kernels")
+	fs.StringVar(&rc.ckpt, "checkpoint", "", "publish the end state as one generation of a checkpoint store in this directory (-resume continues from it)")
+	fs.StringVar(&rc.ckptDir, "ckpt-dir", "", "durable checkpoint store: run supervised, publishing a fsynced checkpoint generation every coupling window (overlapped with the next window); kill the process at any instant and -resume continues bit-identically")
+	fs.StringVar(&rc.resume, "resume", "", "resume from the newest valid generation of a checkpoint store (-ckpt-dir or -checkpoint) and keep checkpointing into it")
+	crashAt := fs.String("crash-at", "", "self-SIGKILL at a kill point (window=N or write=SITE[:N]) — crash-harness testing of the durable store")
+	fs.StringVar(&rc.report, "report", "", "write the supervised run's RunReport as JSON to this file, even when the run fails (the failure is recorded in it); a chaos run adds seed, plan and injected")
+	chaos := fs.String("chaos", "", "run under the fault-injecting supervisor: seed=N[,plan=crash@1:dycore;nan@2:atm.qv;...] (empty plan = auto)")
+	fs.StringVar(&rc.tracePath, "trace", "", "record a run trace and write Chrome trace-event JSON to this file (open in chrome://tracing or ui.perfetto.dev)")
+	ranks := fs.Int("ranks", 1, "number of ranks; each owns a contiguous SFC shard of the ocean for the distributed barotropic solve (results are bit-identical at every rank count)")
+	fs.StringVar(&rc.transport, "transport", "inproc", "rank transport: inproc (goroutines + channels) or socket (one OS process per rank over unix sockets)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *ranks < 1 {
+	o.NoOverlap = !*overlap
+	rc.chaos = *chaos != ""
+	rc.supervised = rc.chaos || rc.ckptDir != "" || rc.resume != ""
+	switch {
+	case *ranks < 1:
 		return fmt.Errorf("esmrun: -ranks %d: need at least 1", *ranks)
-	}
-	if *transport != "inproc" && *transport != "socket" {
-		return fmt.Errorf("esmrun: -transport %q: want inproc or socket", *transport)
-	}
-	opts := icoearth.Options{
-		GridLevel:         *gridLev,
-		AtmosphereLevels:  *atmLev,
-		OceanLevels:       *ocLev,
-		AtmosphereDt:      *atmDt,
-		BGCConcurrent:     *bgcConc,
-		DisableLandGraphs: *noGraph,
-		Workers:           *workers,
-		NoOverlap:         !*overlap,
-	}
-	if *ranks > 1 || *transport == "socket" {
-		if *chaos != "" || *ckptDir != "" || *resume != "" || *crashAt != "" ||
-			*traceOut != "" || *ckpt != "" || *report != "" || *chaosReport != "" {
-			return fmt.Errorf("esmrun: multi-rank runs drive the plain stepping loop only; drop -chaos/-ckpt-dir/-resume/-crash-at/-trace/-checkpoint/-report/-chaos-report")
-		}
-		return runRanks(opts, *ranks, *transport, *hours, *gridLev, *atmLev, *sums, out)
-	}
-	if *chaos != "" && (*ckptDir != "" || *resume != "") {
-		return fmt.Errorf("esmrun: -chaos already supervises with its own checkpoint dir (-checkpoint); it cannot combine with -ckpt-dir/-resume")
-	}
-	if *ckptDir != "" && *resume != "" {
+	case rc.transport != "inproc" && rc.transport != "socket":
+		return fmt.Errorf("esmrun: -transport %q: want inproc or socket", rc.transport)
+	case (*ranks > 1 || rc.transport == "socket") && rc.supervised:
+		return fmt.Errorf("esmrun: -chaos, -ckpt-dir and -resume need per-rank checkpoint stores, which multi-rank runs do not have yet")
+	case rc.ckptDir != "" && rc.resume != "":
 		return fmt.Errorf("esmrun: -resume continues checkpointing into its own store; drop -ckpt-dir")
-	}
-	if *crashAt != "" && *ckptDir == "" && *resume == "" {
+	case *crashAt != "" && rc.ckptDir == "" && rc.resume == "":
 		return fmt.Errorf("esmrun: -crash-at needs a durable run (-ckpt-dir or -resume)")
+	case rc.report != "" && !rc.supervised:
+		return fmt.Errorf("esmrun: -report writes a supervised run's RunReport; add -ckpt-dir, -resume or -chaos")
 	}
-
-	sim, err := icoearth.NewSimulation(opts)
-	if err != nil {
-		return err
-	}
-
-	var tr *trace.Tracer
-	if *traceOut != "" {
-		tr = trace.New()
-		sim.ES.SetTracer(tr)
-		restart.SetTrace(tr.Track("restart", 0))
-	}
-
-	if *chaos != "" {
-		if err := runChaos(sim, *chaos, *chaosReport, *hours, *ckpt, tr, *traceOut, out); err != nil {
+	var err error
+	if rc.chaos {
+		if rc.seed, rc.plan, err = fault.ParseChaosSpec(*chaos); err != nil {
 			return err
 		}
-		return writeSums(sim, *sums)
 	}
-	if *ckptDir != "" || *resume != "" {
-		if err := runDurable(sim, *ckptDir, *resume, *crashAt, *report, *hours, tr, *traceOut, out); err != nil {
+	if *crashAt != "" {
+		rc.kill = new(fault.KillSpec)
+		if *rc.kill, err = fault.ParseKillSpec(*crashAt); err != nil {
 			return err
 		}
-		return writeSums(sim, *sums)
 	}
-
-	if err := runSteps(sim, *hours, *gridLev, *atmLev, out); err != nil {
-		return err
-	}
-
-	if *ckpt != "" {
-		if err := os.MkdirAll(*ckpt, 0o755); err != nil {
-			return err
+	if rc.resume != "" {
+		// Stat before the supervisor opens the store: opening would create
+		// the directory and turn "nothing to resume" into an empty store.
+		if fi, err := os.Stat(rc.resume); err != nil || !fi.IsDir() {
+			return fmt.Errorf("%w: %s", errResumeMissing, rc.resume)
 		}
-		n, err := sim.Checkpoint(*ckpt, 4)
-		if err != nil {
-			return err
+	}
+
+	// The launchers: goroutine ranks over channels, or — over sockets —
+	// this process as one rank child, or as the parent re-execing itself
+	// once per rank (stdout and every file come from the rank-0 child).
+	if rc.transport == "socket" {
+		rank, n, ok := socket.ChildEnv()
+		if !ok {
+			return socket.Launch(*ranks, out, os.Stderr)
 		}
-		fmt.Fprintf(out, "checkpoint: %.1f MiB in %s\n", float64(n)/(1<<20), *ckpt)
-	}
-	if err := writeSums(sim, *sums); err != nil {
-		return err
-	}
-	return writeTrace(tr, *traceOut, out)
-}
-
-// runSteps drives the plain (unsupervised) stepping loop: six equal
-// chunks of simulated time with a diagnostics line after each, then the
-// conservation and energy summary. Shared by the single-process path and
-// every rank of a multi-rank run.
-func runSteps(sim *icoearth.Simulation, hours float64, gridLev, atmLev int, out io.Writer) error {
-	d0 := sim.Diagnostics()
-	fmt.Fprintf(out, "icoearth coupled Earth system — grid R2B%d (%d cells), %d atm levels\n",
-		gridLev, sim.ES.G.NCells, atmLev)
-	fmt.Fprintf(out, "initial: water %.6g kg, carbon %.6g kg, CO2 %.0f ppm, SST %.1f °C\n",
-		d0.TotalWaterKg, d0.TotalCarbonKg, d0.AtmosCO2PPM, d0.MeanSST)
-
-	wall0 := time.Now()
-	step := time.Duration(hours/6*float64(time.Hour)) + time.Second
-	for i := 0; i < 6; i++ {
-		if err := sim.Run(step); err != nil {
-			return err
-		}
-		d := sim.Diagnostics()
-		fmt.Fprintf(out, "t=%8s  τ(sim machine)=%7.1f  SST=%5.2f°C  ice=%.2e m²  CO2=%.1f ppm\n",
-			d.SimTime.Truncate(time.Minute), d.Tau, d.MeanSST, d.SeaIceAreaM2, d.AtmosCO2PPM)
-	}
-
-	d1 := sim.Diagnostics()
-	fmt.Fprintf(out, "\nconservation: water drift %.2e, carbon drift %.2e\n",
-		rel(d1.TotalWaterKg, d0.TotalWaterKg), rel(d1.TotalCarbonKg, d0.TotalCarbonKg))
-	fmt.Fprintf(out, "coupling: atmosphere waited %.3fs, ocean waited %.3fs (simulated), atm_wait_frac %.4f\n",
-		d1.AtmWaitSeconds, d1.OceanWaitSecs, d1.AtmWaitFrac)
-	fmt.Fprintf(out, "energy (simulated): GPU %.3g J, CPU %.3g J; wall clock %.1fs\n",
-		d1.GPUEnergyJ, d1.CPUEnergyJ, time.Since(wall0).Seconds())
-	return nil
-}
-
-// rankDeadline bounds every blocking par operation in a multi-rank run so
-// a wedged or dead peer surfaces as ErrRankLost instead of a hang.
-const rankDeadline = 2 * time.Minute
-
-// runRanks executes the stepping loop replicated across ranks with the
-// ocean's barotropic solve distributed: every rank holds the full model
-// state and steps it identically, while each CG iteration's dot products
-// and halo exchanges go through the rank communicator. Because the rank
-// cuts are block-aligned (ocean.AlignedCuts) and the reduction folds in
-// fixed rank order, the trajectory — and hence the -sums fingerprint — is
-// byte-identical to the 1-rank run at every rank count, over either
-// transport.
-//
-// With -transport socket the process re-execs itself once per rank
-// (children are detected via socket.ChildEnv); rank 0's stdout and the
-// -sums file come from the rank-0 child.
-func runRanks(opts icoearth.Options, ranks int, transport string, hours float64, gridLev, atmLev int, sums string, out io.Writer) error {
-	if transport == "inproc" {
-		w := par.NewWorld(ranks)
-		w.SetDeadline(rankDeadline)
-		errs := make([]error, ranks)
-		runErr := w.RunErr(func(c *par.Comm) {
-			errs[c.Rank] = rankBody(c, transport, opts, hours, gridLev, atmLev, sums, out)
-		})
-		return errors.Join(append(errs, runErr)...)
-	}
-
-	if rank, n, ok := socket.ChildEnv(); ok {
-		if n != ranks {
-			return fmt.Errorf("esmrun: rank %d launched for %d ranks but -ranks is %d", rank, n, ranks)
+		if n != *ranks {
+			return fmt.Errorf("esmrun: rank %d launched for %d ranks but -ranks is %d", rank, n, *ranks)
 		}
 		tp, err := socket.FromEnv(10 * time.Second)
 		if err != nil {
 			return err
 		}
 		defer tp.Close()
-		var bodyErr error
+		var simErr error
 		runErr := par.RunTransport(tp, func(c *par.Comm) {
 			c.SetDeadline(rankDeadline)
-			bodyErr = rankBody(c, transport, opts, hours, gridLev, atmLev, sums, out)
+			simErr = runSim(c, &rc, out)
 		})
-		return errors.Join(bodyErr, runErr)
+		return errors.Join(simErr, runErr)
 	}
-	return socket.Launch(ranks, out, os.Stderr)
+	w := par.NewWorld(*ranks)
+	w.SetDeadline(rankDeadline)
+	errs := make([]error, *ranks)
+	runErr := w.RunErr(func(c *par.Comm) { errs[c.Rank] = runSim(c, &rc, out) })
+	return errors.Join(append(errs, runErr)...)
 }
 
-// rankBody is one rank's share of a multi-rank run: build the full
-// simulation, install the distributed barotropic solver over this rank's
-// SFC-contiguous shard, and step. Only rank 0 prints and writes -sums.
-func rankBody(c *par.Comm, transport string, opts icoearth.Options, hours float64, gridLev, atmLev int, sums string, out io.Writer) error {
-	sim, err := icoearth.NewSimulation(opts)
-	if err != nil {
-		return err
-	}
-	s := sim.ES.Oc.State
-	cuts, err := ocean.AlignedCuts(s, c.Size())
-	if err != nil {
-		return err
-	}
-	dec, err := grid.DecomposeAt(sim.ES.G, cuts)
-	if err != nil {
-		return err
-	}
-	db, err := ocean.NewDistBarotropic(s, sim.ES.Oc.Dyn.Op.Dt, dec, c)
-	if err != nil {
-		return err
-	}
-	sim.ES.Oc.Dyn.Solver = db
+// rankDeadline bounds every blocking par operation in a multi-rank run so
+// a wedged or dead peer surfaces as ErrRankLost instead of a hang.
+const rankDeadline = 2 * time.Minute
 
-	ro := out
-	if c.Rank != 0 {
-		ro = io.Discard
-	}
-	if err := runSteps(sim, hours, gridLev, atmLev, ro); err != nil {
-		return err
-	}
-	if c.Rank != 0 {
-		return nil
-	}
-	lo, hi := db.CG.OwnedRange()
-	fmt.Fprintf(ro, "ranks: %d (%s), rank 0 owns wet cells [%d,%d): %d halo exchanges, %.3g MiB halo traffic, overlap frac %.2f\n",
-		c.Size(), transport, lo, hi, db.CG.HaloXchgs, float64(db.CG.HaloBytes)/(1<<20), db.CG.OverlapFrac())
-	return writeSums(sim, sums)
+// chaosInfo is what a chaos run adds to the RunReport's JSON.
+type chaosInfo struct {
+	Seed     uint64        `json:"seed"`
+	Plan     string        `json:"plan"`
+	Injected []fault.Event `json:"injected"`
+	in       *fault.Injector
 }
 
-// writeSums records the exact end-of-run state fingerprint — conserved
-// totals and clock in hex floats (every bit printed), window count — for
-// the CI determinism matrix: two runs are equivalent iff their sums files
-// are byte-for-byte identical, whatever the worker width or overlap mode.
-func writeSums(sim *icoearth.Simulation, path string) error {
-	if path == "" {
-		return nil
+// runSim is the one run path, called by every rank of every mode. It
+// builds the simulation (the barotropic solve distributed over c when
+// there is more than one rank), resumes it if asked, and steps
+// max(1, ⌈hours·3600/CouplingDt⌉) windows in six progress chunks —
+// through a supervisor when -ckpt-dir, -resume or -chaos asks for one,
+// plainly otherwise. The model state is replicated on every rank, so rank
+// 0 alone writes the tail: summary, RunReport, trace, checkpoint, sums.
+func runSim(c *par.Comm, rc *runConfig, out io.Writer) error {
+	if c.Rank != 0 {
+		out = io.Discard
+	}
+	sim, err := icoearth.NewSimulation(rc.opts)
+	if err != nil {
+		return err
 	}
 	es := sim.ES
-	blob := fmt.Sprintf("total_water_kg %x\ntotal_carbon_kg %x\nsim_time_s %x\nwindows %d\n",
-		es.TotalWater(), es.TotalCarbon(), es.SimTime(), es.Windows())
-	return os.WriteFile(path, []byte(blob), 0o644)
-}
-
-// writeTrace exports the run trace (when one was recorded) and prints its
-// text summary.
-func writeTrace(tr *trace.Tracer, path string, out io.Writer) error {
-	if tr == nil || path == "" {
-		return nil
-	}
-	if err := tr.WriteFile(path); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "\n%s", tr.Summary())
-	fmt.Fprintf(out, "trace: %s (load in chrome://tracing)\n", path)
-	return nil
-}
-
-// runDurable executes (or resumes) the simulation under the supervisor
-// with the durable generation store at dir: a fsynced checkpoint
-// generation every coupling window, the disk work overlapped with the
-// next window. A resumed run restores the newest generation that
-// validates and continues on the uninterrupted run's exact trajectory
-// (same -sums fingerprint). The RunReport is written even on failure,
-// with the failure recorded in it.
-func runDurable(sim *icoearth.Simulation, ckptDir, resumeDir, crashAt, reportPath string, hours float64, tr *trace.Tracer, tracePath string, out io.Writer) error {
-	es := sim.ES
-	total := int(math.Ceil(hours * 3600 / es.Cfg.CouplingDt))
-	if total < 1 {
-		total = 1
-	}
-	dir := ckptDir
-	if resumeDir != "" {
-		dir = resumeDir
-		// Stat before NewSupervisor: opening the store would create the
-		// directory and turn "nothing to resume" into an empty store.
-		if fi, err := os.Stat(resumeDir); err != nil || !fi.IsDir() {
-			return fmt.Errorf("%w: %s", errResumeMissing, resumeDir)
-		}
-	}
-	cfg := coupler.SuperviseConfig{
-		Dir:             dir,
-		CheckpointEvery: 1,
-		WindowDeadline:  30 * time.Second,
-		Async:           true,
-	}
-	if crashAt != "" {
-		ks, err := fault.ParseKillSpec(crashAt)
-		if err != nil {
+	var db *ocean.DistBarotropic
+	if c.Size() > 1 {
+		if db, err = distribute(es, c); err != nil {
 			return err
 		}
-		ks.Arm(&cfg)
 	}
-	sv, err := coupler.NewSupervisor(es, cfg)
-	if err != nil {
-		return err
+	var tr *trace.Tracer
+	if rc.tracePath != "" && c.Rank == 0 {
+		tr = trace.New()
+		es.SetTracer(tr)
+		restart.SetTrace(tr.Track("restart", 0))
+		defer restart.SetTrace(nil)
 	}
-	writeReport := func(rep *coupler.RunReport) error {
-		if reportPath == "" {
+	total := max(1, int(math.Ceil(rc.hours*3600/es.Cfg.CouplingDt)))
+	d0 := sim.Diagnostics()
+	fmt.Fprintf(out, "icoearth coupled Earth system — grid R2B%d (%d cells), %d atm levels\n",
+		rc.opts.GridLevel, es.G.NCells, rc.opts.AtmosphereLevels)
+	fmt.Fprintf(out, "initial: water %.6g kg, carbon %.6g kg, CO2 %.0f ppm, SST %.1f °C\n",
+		d0.TotalWaterKg, d0.TotalCarbonKg, d0.AtmosCO2PPM, d0.MeanSST)
+
+	// One supervisor configuration; a chaos run differs only by the armed
+	// injector, and by a throwaway store when no -ckpt-dir is given.
+	mode := "plain"
+	var sv *coupler.Supervisor
+	var ci *chaosInfo
+	if rc.supervised {
+		mode = "durable"
+		cfg := coupler.SuperviseConfig{Dir: rc.ckptDir, CheckpointEvery: 1, WindowDeadline: 30 * time.Second, Async: true}
+		if rc.resume != "" {
+			cfg.Dir = rc.resume
+		}
+		if rc.chaos {
+			mode = "chaos"
+			plan := rc.plan
+			if len(plan) == 0 {
+				plan = fault.AutoPlan(fault.NewRNG(rc.seed), total)
+			}
+			if cfg.Dir == "" {
+				if cfg.Dir, err = os.MkdirTemp("", "esmrun-chaos-"); err != nil {
+					return err
+				}
+				defer os.RemoveAll(cfg.Dir)
+			}
+			ci = &chaosInfo{Seed: rc.seed, Plan: plan.String(), in: fault.NewInjector(rc.seed, plan)}
+			fault.Arm(ci.in, es, &cfg)
+			fmt.Fprintf(out, "chaos: seed %d, %d windows, plan %s\n", rc.seed, total, plan)
+		}
+		if rc.kill != nil {
+			rc.kill.Arm(&cfg)
+		}
+		if sv, err = coupler.NewSupervisor(es, cfg); err != nil {
+			return err
+		}
+	}
+	// The RunReport's fields at the top level, a chaos run's beside them.
+	writeReport := func() error {
+		if rc.report == "" {
 			return nil
 		}
-		blob, err := json.MarshalIndent(rep, "", "  ")
+		if ci != nil {
+			ci.Injected = ci.in.Events()
+		}
+		blob, err := json.MarshalIndent(struct {
+			*coupler.RunReport
+			*chaosInfo
+		}{sv.Report(), ci}, "", "  ")
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(reportPath, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "report: %s\n", reportPath)
-		return nil
+		fmt.Fprintf(out, "report: %s\n", rc.report)
+		return os.WriteFile(rc.report, blob, 0o644)
 	}
 
-	if resumeDir != "" {
+	if rc.resume != "" {
 		snap, meta, rejected, err := sv.Store().LoadNewest()
 		for _, r := range rejected {
 			fmt.Fprintf(out, "resume: rejected generation %d: %s\n", r.Seq, r.Reason)
@@ -381,129 +280,120 @@ func runDurable(sim *icoearth.Simulation, ckptDir, resumeDir, crashAt, reportPat
 			err = es.ApplySnapshot(snap)
 		}
 		if err != nil {
-			err = fmt.Errorf("esmrun: resume from %s: %w", resumeDir, err)
-			rep := sv.Report()
-			rep.Failure = err.Error()
-			if werr := writeReport(rep); werr != nil {
-				return werr
-			}
-			return err
+			err = fmt.Errorf("esmrun: resume from %s: %w", rc.resume, err)
+			sv.Report().Failure = err.Error()
+			return errors.Join(err, writeReport())
 		}
 		fmt.Fprintf(out, "resume: window %d restored from generation %d (%d windows to go)\n",
-			meta.Window, meta.Seq, total-es.Windows())
+			meta.Window, meta.Seq, max(0, total-es.Windows()))
 	}
 
-	remaining := total - es.Windows()
-	if remaining < 0 {
-		remaining = 0
-	}
+	left := max(0, total-es.Windows())
 	wall0 := time.Now()
-	rep, runErr := sv.Run(remaining)
-	fmt.Fprintf(out, "durable: %d checkpoints, %.1f MiB published, ckpt lane %.1f ms, %d rollbacks\n",
-		rep.Checkpoints, float64(rep.CheckpointBytes)/(1<<20), float64(rep.CheckpointNs)/1e6, rep.Rollbacks)
-	if err := writeReport(rep); err != nil {
-		return err
+	var runErr error
+	for i := 0; i < 6 && runErr == nil; i++ {
+		n := (i+1)*left/6 - i*left/6
+		if sv != nil && n > 0 {
+			_, runErr = sv.Run(n)
+		}
+		for k := 0; sv == nil && k < n && runErr == nil; k++ {
+			runErr = es.StepWindow()
+		}
+		if n > 0 && runErr == nil {
+			d := sim.Diagnostics()
+			fmt.Fprintf(out, "t=%8s  τ(sim machine)=%7.1f  SST=%5.2f°C  ice=%.2e m²  CO2=%.1f ppm\n",
+				d.SimTime.Truncate(time.Minute), d.Tau, d.MeanSST, d.SeaIceAreaM2, d.AtmosCO2PPM)
+		}
 	}
-	if err := writeTrace(tr, tracePath, out); err != nil {
-		return err
+	if c.Rank != 0 {
+		return runErr
+	}
+
+	d1 := sim.Diagnostics()
+	fmt.Fprintf(out, "\nconservation: water drift %.2e, carbon drift %.2e\n",
+		math.Abs(d1.TotalWaterKg/d0.TotalWaterKg-1), math.Abs(d1.TotalCarbonKg/d0.TotalCarbonKg-1))
+	fmt.Fprintf(out, "coupling: atmosphere waited %.3fs, ocean waited %.3fs (simulated), atm_wait_frac %.4f\n",
+		d1.AtmWaitSeconds, d1.OceanWaitSecs, d1.AtmWaitFrac)
+	fmt.Fprintf(out, "energy (simulated): GPU %.3g J, CPU %.3g J\n", d1.GPUEnergyJ, d1.CPUEnergyJ)
+	if ci != nil {
+		for _, ev := range ci.in.Events() {
+			fmt.Fprintf(out, "  injected @%d: %s\n", ev.Window, ev.Detail)
+		}
+	}
+	if sv != nil {
+		rep := sv.Report()
+		for _, f := range rep.Faults {
+			fmt.Fprintf(out, "  observed @%d [%s]: %s\n", f.Window, f.Kind, f.Detail)
+		}
+		for _, d := range rep.Degradations {
+			fmt.Fprintf(out, "  degraded @%d [%s]: %s\n", d.Window, d.Kind, d.Detail)
+		}
+		fmt.Fprintf(out, "recovery: %d checkpoints (%.1f MiB, %.1f ms), %d rollbacks (%.1f ms), %d retries\n",
+			rep.Checkpoints, float64(rep.CheckpointBytes)/(1<<20), float64(rep.CheckpointNs)/1e6,
+			rep.Rollbacks, float64(rep.RollbackNs)/1e6, rep.Retries)
+		if err := writeReport(); err != nil {
+			return err
+		}
+	}
+	if db != nil {
+		lo, hi := db.CG.OwnedRange()
+		fmt.Fprintf(out, "ranks: %d (%s), rank 0 owns wet cells [%d,%d): %d halo exchanges, %.3g MiB halo traffic, overlap frac %.2f\n",
+			c.Size(), rc.transport, lo, hi, db.CG.HaloXchgs, float64(db.CG.HaloBytes)/(1<<20), db.CG.OverlapFrac())
+	}
+	if tr != nil {
+		if err := tr.WriteFile(rc.tracePath); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "\n%strace: %s (load in chrome://tracing)\n", tr.Summary(), rc.tracePath)
 	}
 	if runErr != nil {
-		return fmt.Errorf("%w: %v", errSimFault, runErr)
+		return fmt.Errorf("%w: %s run: %v", errSimFault, mode, runErr)
 	}
-	fmt.Fprintf(out, "durable run completed: %d windows, water drift %.2e, carbon drift %.2e, wall %.1fs\n",
-		es.Windows(), rep.WaterDrift, rep.CarbonDrift, time.Since(wall0).Seconds())
-	return nil
-}
-
-// runChaos executes the simulation under the supervisor with a seeded
-// fault plan armed, then reports every fault fired and every recovery
-// taken. The run must end with conserved quantities intact — that is the
-// whole point of the recovery layer.
-func runChaos(sim *icoearth.Simulation, spec, reportPath string, hours float64, ckptDir string, tr *trace.Tracer, tracePath string, out io.Writer) error {
-	seed, plan, err := fault.ParseChaosSpec(spec)
-	if err != nil {
-		return err
-	}
-	es := sim.ES
-	windows := int(math.Ceil(hours * 3600 / es.Cfg.CouplingDt))
-	if windows < 1 {
-		windows = 1
-	}
-	if len(plan) == 0 {
-		plan = fault.AutoPlan(fault.NewRNG(seed), windows)
-	}
-
-	dir := ckptDir
-	if dir == "" {
-		dir, err = os.MkdirTemp("", "esmrun-chaos-")
+	fmt.Fprintf(out, "%s run completed: %d windows, τ %.1f, wall %.1fs\n",
+		mode, es.Windows(), sim.Tau(), time.Since(wall0).Seconds())
+	if rc.ckpt != "" {
+		st, err := restart.OpenStore(rc.ckpt, 2)
 		if err != nil {
 			return err
 		}
-		defer os.RemoveAll(dir)
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-
-	cfg := coupler.SuperviseConfig{
-		Dir:             dir,
-		CheckpointEvery: 1,
-		WindowDeadline:  30 * time.Second,
-	}
-	in := fault.NewInjector(seed, plan)
-	fault.Arm(in, es, &cfg)
-	sv, err := coupler.NewSupervisor(es, cfg)
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(out, "chaos: seed %d, %d windows, plan %s\n", seed, windows, plan)
-	wall0 := time.Now()
-	rep, runErr := sv.Run(windows)
-	for _, ev := range in.Events() {
-		fmt.Fprintf(out, "  injected @%d: %s\n", ev.Window, ev.Detail)
-	}
-	for _, f := range rep.Faults {
-		fmt.Fprintf(out, "  observed @%d [%s]: %s\n", f.Window, f.Kind, f.Detail)
-	}
-	for _, d := range rep.Degradations {
-		fmt.Fprintf(out, "  degraded @%d [%s]: %s\n", d.Window, d.Kind, d.Detail)
-	}
-	fmt.Fprintf(out, "recovery: %d checkpoints (%.1f ms total), %d rollbacks (%.1f ms total), %d retries\n",
-		rep.Checkpoints, float64(rep.CheckpointNs)/1e6, rep.Rollbacks, float64(rep.RollbackNs)/1e6, rep.Retries)
-
-	if reportPath != "" {
-		blob, err := json.MarshalIndent(struct {
-			Seed     uint64             `json:"seed"`
-			Plan     string             `json:"plan"`
-			Report   *coupler.RunReport `json:"report"`
-			Injected []fault.Event      `json:"injected"`
-		}{seed, plan.String(), rep, in.Events()}, "", "  ")
+		n, dir, err := st.Write(es.Snapshot(), es.Windows(), 3)
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(reportPath, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "report: %s\n", reportPath)
+		fmt.Fprintf(out, "checkpoint: window %d, %.1f MiB in %s\n", es.Windows(), float64(n)/(1<<20), dir)
 	}
-	if err := writeTrace(tr, tracePath, out); err != nil {
-		return err
-	}
-	if runErr != nil {
-		return fmt.Errorf("%w: chaos run did not survive: %v", errSimFault, runErr)
-	}
-	fmt.Fprintf(out, "chaos run completed: %d windows, water drift %.2e, carbon drift %.2e, τ %.1f, wall %.1fs\n",
-		rep.Windows, rep.WaterDrift, rep.CarbonDrift, sim.Tau(), time.Since(wall0).Seconds())
-	return nil
+	return writeSums(es, rc.sums)
 }
 
-func rel(a, b float64) float64 {
-	if b == 0 {
-		return 0
+// distribute installs the distributed barotropic solver over this rank's
+// SFC-contiguous shard. Block-aligned cuts and a rank-ordered fold keep the
+// -sums fingerprint byte-identical at every rank count, on either transport.
+func distribute(es *coupler.EarthSystem, c *par.Comm) (*ocean.DistBarotropic, error) {
+	cuts, err := ocean.AlignedCuts(es.Oc.State, c.Size())
+	if err != nil {
+		return nil, err
 	}
-	d := (a - b) / b
-	if d < 0 {
-		return -d
+	dec, err := grid.DecomposeAt(es.G, cuts)
+	if err != nil {
+		return nil, err
 	}
-	return d
+	db, err := ocean.NewDistBarotropic(es.Oc.State, es.Oc.Dyn.Op.Dt, dec, c)
+	if err != nil {
+		return nil, err
+	}
+	es.Oc.Dyn.Solver = db
+	return db, nil
+}
+
+// writeSums records the exact end-of-run state fingerprint — conserved
+// totals and clock in hex floats (every bit printed), window count — for
+// the CI determinism matrix: two runs are equivalent iff their sums files
+// are byte-for-byte identical, whatever the workers, overlap, ranks or mode.
+func writeSums(es *coupler.EarthSystem, path string) error {
+	if path == "" {
+		return nil
+	}
+	blob := fmt.Sprintf("total_water_kg %x\ntotal_carbon_kg %x\nsim_time_s %x\nwindows %d\n",
+		es.TotalWater(), es.TotalCarbon(), es.SimTime(), es.Windows())
+	return os.WriteFile(path, []byte(blob), 0o644)
 }

@@ -40,13 +40,14 @@ func TestSmokeTinyGrid(t *testing.T) {
 }
 
 // TestChaosSmoke: a chaos run with an explicit crash+NaN plan survives,
-// reports its recoveries, and writes the JSON report.
+// reports its recoveries, and writes the JSON RunReport with the chaos
+// fields beside its own.
 func TestChaosSmoke(t *testing.T) {
 	var out strings.Builder
 	report := filepath.Join(t.TempDir(), "report.json")
 	err := run([]string{"-hours", "0.5", "-grid", "1", "-atmlev", "5", "-oclev", "4",
 		"-chaos", "seed=1,plan=crash@1:dycore;nan@2:atm.qv",
-		"-chaos-report", report}, &out)
+		"-report", report}, &out)
 	if err != nil {
 		t.Fatalf("chaos run failed: %v\noutput:\n%s", err, out.String())
 	}

@@ -90,16 +90,17 @@ func TestRanksSocketSumsIdentical(t *testing.T) {
 	}
 }
 
-// TestRanksFlagValidation: multi-rank runs reject the single-process-only
-// modes and malformed rank/transport values fail fast.
+// TestRanksFlagValidation: multi-rank runs reject the modes that need
+// per-rank checkpoint stores, and malformed rank/transport values fail
+// fast.
 func TestRanksFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-ranks", "0"},
 		{"-transport", "tcp"},
 		{"-ranks", "2", "-chaos", "seed=1"},
 		{"-ranks", "2", "-ckpt-dir", "/tmp/x"},
-		{"-transport", "socket", "-trace", "/tmp/x.json"},
-		{"-ranks", "2", "-checkpoint", "/tmp/x"},
+		{"-transport", "socket", "-resume", "/tmp/x"},
+		{"-ranks", "2", "-report", "/tmp/x.json"},
 	}
 	for _, args := range cases {
 		var out strings.Builder

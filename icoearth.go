@@ -204,7 +204,7 @@ func (s *Simulation) Diagnostics() Diagnostics {
 // Checkpoint writes the full model state as a multi-file restart into dir
 // using nfiles writer files, returning the bytes written.
 func (s *Simulation) Checkpoint(dir string, nfiles int) (int64, error) {
-	return restart.WriteMultiFile(s.snapshot(), dir, nfiles)
+	return restart.WriteMultiFile(s.ES.Snapshot(), dir, nfiles)
 }
 
 // Restore loads a checkpoint written by Checkpoint into this simulation
@@ -214,14 +214,5 @@ func (s *Simulation) Restore(dir string) error {
 	if err != nil {
 		return err
 	}
-	return s.scatter(snap)
-}
-
-// snapshot gathers every prognostic field plus the coupler's scalar
-// accounting (see coupler.Snapshot).
-func (s *Simulation) snapshot() *restart.Snapshot { return s.ES.Snapshot() }
-
-// scatter restores fields from a snapshot in place.
-func (s *Simulation) scatter(snap *restart.Snapshot) error {
 	return s.ES.ApplySnapshot(snap)
 }

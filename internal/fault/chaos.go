@@ -46,11 +46,16 @@ func Arm(in *Injector, es *coupler.EarthSystem, cfg *coupler.SuperviseConfig) {
 		if prevAfter != nil {
 			prevAfter(dir, w)
 		}
-		in.SetWindow(w)
-		if f, ok := in.take(
+		// With Async this fires at the write's join, after a later
+		// window's BeforeWindow: match the generation's own window
+		// without moving the one the launch hooks read.
+		in.mu.Lock()
+		f, ok := in.takeAt(w,
 			func(f Fault) bool { return f.Kind == CkptTruncate || f.Kind == CkptBitFlip },
 			func(f Fault) string { return fmt.Sprintf("%s in %s", f.Kind, dir) },
-		); ok {
+		)
+		in.mu.Unlock()
+		if ok {
 			if err := CorruptDir(dir, f.Kind, in.rng); err != nil {
 				panic(fmt.Sprintf("fault: corrupting checkpoint: %v", err))
 			}

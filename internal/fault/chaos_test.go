@@ -1,7 +1,10 @@
 package fault
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"icoearth/internal/coupler"
@@ -75,6 +78,43 @@ func TestChaosRunMatchesFaultFree(t *testing.T) {
 	}
 	if rep.WaterDrift > 1e-9 || rep.CarbonDrift > 1e-9 {
 		t.Errorf("conservation drift: water %e carbon %e", rep.WaterDrift, rep.CarbonDrift)
+	}
+}
+
+// TestAsyncChaosFiresAtPlannedWindow: overlapping the checkpoint write
+// with the next window moves when the corruption hook runs (at the write's
+// join, so it may log after that window's launch faults), not which window
+// any fault lands in — the injected and the observed faults are those of
+// the synchronous run, window for window.
+func TestAsyncChaosFiresAtPlannedWindow(t *testing.T) {
+	plan, err := ParsePlan("crash@1:dycore;ckptflip@2;nan@2:atm.qv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs [2][]string
+	for i, async := range []bool{false, true} {
+		es := newChaosSystem(t)
+		cfg := coupler.SuperviseConfig{Dir: t.TempDir(), Async: async}
+		in := NewInjector(1234, plan)
+		Arm(in, es, &cfg)
+		sv, err := coupler.NewSupervisor(es, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sv.Run(4)
+		if err != nil {
+			t.Fatalf("async=%v: %v", async, err)
+		}
+		for _, ev := range in.Events() {
+			runs[i] = append(runs[i], fmt.Sprintf("injected %s@%d", ev.Kind, ev.Window))
+		}
+		for _, f := range rep.Faults {
+			runs[i] = append(runs[i], fmt.Sprintf("observed %s@%d", f.Kind, f.Window))
+		}
+		sort.Strings(runs[i])
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Errorf("async run's faults differ from the sync run's:\nsync  %v\nasync %v", runs[0], runs[1])
 	}
 }
 

@@ -12,6 +12,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -129,7 +130,8 @@ func (p Plan) String() string {
 //
 // Everything after "plan=" is the plan (entries separated by semicolons).
 // An absent plan returns an empty Plan; the caller typically substitutes
-// AutoPlan. Returns the seed, the plan, and any parse error.
+// AutoPlan. seed= must appear exactly once. Returns the seed, the plan,
+// and any parse error.
 func ParseChaosSpec(spec string) (uint64, Plan, error) {
 	var seed uint64
 	var plan Plan
@@ -157,6 +159,9 @@ func ParseChaosSpec(spec string) (uint64, Plan, error) {
 		}
 		switch k {
 		case "seed":
+			if seenSeed {
+				return 0, nil, fmt.Errorf("fault: chaos spec %q repeats seed=", spec)
+			}
 			n, err := strconv.ParseUint(v, 10, 64)
 			if err != nil {
 				return 0, nil, fmt.Errorf("fault: bad seed %q: %v", v, err)
@@ -172,7 +177,9 @@ func ParseChaosSpec(spec string) (uint64, Plan, error) {
 	return seed, plan, nil
 }
 
-// ParsePlan parses "kind@window[:arg][;...]" entries.
+// ParsePlan parses "kind@window[:arg][;...]" entries. A stall lasts a
+// duration ≥ 0; a slowdown factor is finite and > 1 (it scales the GPU
+// device clock).
 func ParsePlan(s string) (Plan, error) {
 	var plan Plan
 	for _, entry := range strings.Split(s, ";") {
@@ -204,15 +211,16 @@ func ParsePlan(s string) (Plan, error) {
 		case Stall:
 			d := 50 * time.Millisecond
 			if arg != "" {
-				if d, err = time.ParseDuration(arg); err != nil {
-					return nil, fmt.Errorf("fault: bad stall duration in %q: %v", entry, err)
+				if d, err = time.ParseDuration(arg); err != nil || d < 0 {
+					return nil, fmt.Errorf("fault: bad stall duration in %q", entry)
 				}
 			}
 			f.StallFor = d
 		case Slowdown:
 			f.Factor = 3
 			if arg != "" {
-				if f.Factor, err = strconv.ParseFloat(arg, 64); err != nil || f.Factor <= 1 {
+				// Written so NaN fails: it compares false against 1.
+				if f.Factor, err = strconv.ParseFloat(arg, 64); err != nil || !(f.Factor > 1) || math.IsInf(f.Factor, 1) {
 					return nil, fmt.Errorf("fault: bad slowdown factor in %q", entry)
 				}
 			}
@@ -330,13 +338,19 @@ func (in *Injector) AllFired() bool {
 func (in *Injector) take(match func(Fault) bool, detail func(Fault) string) (Fault, bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	return in.takeAt(in.window, match, detail)
+}
+
+// takeAt is take at window w, which leaves the current window alone;
+// in.mu must be held.
+func (in *Injector) takeAt(w int, match func(Fault) bool, detail func(Fault) string) (Fault, bool) {
 	for i, f := range in.plan {
-		if in.fired[i] || f.Window != in.window || !match(f) {
+		if in.fired[i] || f.Window != w || !match(f) {
 			continue
 		}
 		in.fired[i] = true
-		in.events = append(in.events, Event{Window: in.window, Kind: f.Kind.String(), Detail: detail(f)})
-		in.tk.InstantArg("fault:"+f.Kind.String(), "window", int64(in.window))
+		in.events = append(in.events, Event{Window: w, Kind: f.Kind.String(), Detail: detail(f)})
+		in.tk.InstantArg("fault:"+f.Kind.String(), "window", int64(w))
 		return f, true
 	}
 	return Fault{}, false

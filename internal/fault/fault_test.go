@@ -56,6 +56,8 @@ func TestParseChaosSpecErrors(t *testing.T) {
 		"", "plan=crash@1", "seed=x", "seed=1,frob=2",
 		"seed=1,plan=crash", "seed=1,plan=warp@2", "seed=1,plan=crash@-1",
 		"seed=1,plan=stall@1:xyz", "seed=1,plan=slow@1:0.5",
+		"seed=1,plan=slow@1:NaN", "seed=1,plan=slow@1:+Inf",
+		"seed=1,plan=stall@1:-5s", "seed=1,seed=2",
 	} {
 		if _, _, err := ParseChaosSpec(spec); err == nil {
 			t.Errorf("spec %q accepted", spec)

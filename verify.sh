@@ -5,8 +5,8 @@
 #                       over the root module and the nested benchmark module
 #   ./verify.sh full    tier-2: adds the race detector, the full test suite,
 #                       10 s of each fuzz target, and the §5.2 figure,
-#                       chaos, crash-resume, determinism and transport
-#                       smokes
+#                       chaos, crash-resume, determinism, transport and
+#                       run-mode smokes
 #
 # Performance is not checked here: the repo benchmark (BENCHMARK.json,
 # `bash benchmark/run.sh`) is measured on parent and change on one host.
@@ -58,13 +58,16 @@ go test -C benchmark ./...
 go test -race -short ./...
 go test -race ./internal/sched/... ./internal/par/... ./internal/par/socket/... ./internal/exec/... ./internal/coupler/... ./internal/fault/... ./internal/restart/... ./internal/atmos/... ./internal/ocean/... ./internal/bgc/...
 go test ./...
-# Fuzz the two parsers of on-disk checkpoint bytes and the decoder of
-# socket frames, 10 s each (tier-1 ran their checked-in corpora as plain
-# tests): no panic, no allocation beyond a small multiple of the input, an
-# accepted input re-encodes to itself.
+# Fuzz the two parsers of on-disk checkpoint bytes, the decoder of socket
+# frames and the -chaos/-crash-at spec grammars, 10 s each (tier-1 ran
+# their checked-in corpora as plain tests): no panic; for the byte parsers
+# no allocation beyond a small multiple of the input and an accepted input
+# re-encodes to itself; an accepted spec re-encodes to an equal value.
 go test ./internal/restart -run '^$' -fuzz '^FuzzReadShard$' -fuzztime 10s
 go test ./internal/restart -run '^$' -fuzz '^FuzzReadManifest$' -fuzztime 10s
 go test ./internal/par/socket -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s
+go test ./internal/fault -run '^$' -fuzz '^FuzzParseChaosSpec$' -fuzztime 10s
+go test ./internal/fault -run '^$' -fuzz '^FuzzParseKillSpec$' -fuzztime 10s
 # §5.2 smoke: the interpreter against the generated kernels that ship,
 # with the lines-of-code and bandwidth figures (≈3 s).
 go run ./cmd/figures sdfg
@@ -124,4 +127,16 @@ cmp "$SUMS_DIR/on.txt" "$SUMS_DIR/inproc.txt"
 cmp "$SUMS_DIR/on.txt" "$SUMS_DIR/socket.txt"
 "$SUMS_DIR/esmrun" -hours 0.5 -ranks 7 -transport socket -sums "$SUMS_DIR/socket7.txt" > /dev/null
 cmp "$SUMS_DIR/on.txt" "$SUMS_DIR/socket7.txt"
+# Run-mode smoke: plain, durable, chaos (crash, corrupted checkpoint, NaN)
+# and three socket ranks step the same windows through esmrun's one run
+# loop and must land on one fingerprint (the CI determinism job runs this
+# step too).
+TINY="-hours 1 -grid 1 -atmlev 5 -oclev 4"
+"$SUMS_DIR/esmrun" $TINY -sums "$SUMS_DIR/modes-plain.txt" > /dev/null
+"$SUMS_DIR/esmrun" $TINY -ckpt-dir "$SUMS_DIR/store" -sums "$SUMS_DIR/modes-durable.txt" > /dev/null
+"$SUMS_DIR/esmrun" $TINY -chaos "seed=7,plan=crash@1:dycore;ckptflip@2;nan@2:atm.qv" -sums "$SUMS_DIR/modes-chaos.txt" > /dev/null
+"$SUMS_DIR/esmrun" $TINY -ranks 3 -transport socket -sums "$SUMS_DIR/modes-ranks.txt" > /dev/null
+for m in durable chaos ranks; do
+	cmp "$SUMS_DIR/modes-plain.txt" "$SUMS_DIR/modes-$m.txt"
+done
 rm -rf "$SUMS_DIR"

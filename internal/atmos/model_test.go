@@ -58,15 +58,19 @@ func TestThetaCurrentWhereRead(t *testing.T) {
 
 // TestModelStepSteadyStateAllocs: a warmed-up Model.Step allocates nothing —
 // its launches are bound once by NewModel, every kernel body once by its
-// owner, and exec.Device.Launch is allocation-free with tracing off. (The
-// optional gray Radiation, off by default, still makes its four
-// per-step slices and is left out.)
+// owner, and exec.Device.Launch is allocation-free with tracing off — with
+// the optional gray Radiation off and on.
 func TestModelStepSteadyStateAllocs(t *testing.T) {
 	defer sched.SetWorkers(0)
 	sched.SetWorkers(4)
-	m, bc := oracleModel()
-	m.Step(150, bc) // binds the physics kernels, sizes the column scratch, spawns the workers
-	if n := testing.AllocsPerRun(5, func() { m.Step(150, bc) }); n != 0 {
-		t.Fatalf("Model.Step allocates %.1f times per step, want 0", n)
+	for _, rad := range []bool{false, true} {
+		m, bc := oracleModel()
+		if rad {
+			m.Rad = NewRadiation()
+		}
+		m.Step(150, bc) // binds the physics kernels, sizes the column scratch, spawns the workers
+		if n := testing.AllocsPerRun(5, func() { m.Step(150, bc) }); n != 0 {
+			t.Fatalf("Model.Step (radiation %v) allocates %.1f times per step, want 0", rad, n)
+		}
 	}
 }

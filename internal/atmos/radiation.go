@@ -30,6 +30,10 @@ type Radiation struct {
 	// SolarConstant and PlanetAlbedo define the shortwave input proxy.
 	SolarConstant float64
 	PlanetAlbedo  float64
+
+	// Step's column scratch and its result, sized on first use and reused.
+	trans, up, dn []float64
+	out           []ColumnFluxes
 }
 
 // NewRadiation returns gray-gas parameters tuned so a moist tropical
@@ -57,15 +61,16 @@ type ColumnFluxes struct {
 }
 
 // Step applies longwave heating to every column over dt given the surface
-// temperature (bc), and returns the per-cell boundary fluxes. The
-// shortwave proxy is diagnostic (zenith-angle mean) and not applied to the
-// air (it is absorbed by the surface components).
+// temperature (bc), and returns the per-cell boundary fluxes, valid until
+// the next Step. The shortwave proxy is diagnostic (zenith-angle mean) and
+// not applied to the air (it is absorbed by the surface components).
 func (r *Radiation) Step(s *State, dt float64, bc SurfaceBC) []ColumnFluxes {
 	nlev := s.NLev
-	out := make([]ColumnFluxes, s.G.NCells)
-	trans := make([]float64, nlev)
-	up := make([]float64, nlev+1)
-	dn := make([]float64, nlev+1)
+	if len(r.trans) != nlev || len(r.out) != s.G.NCells {
+		r.trans, r.up, r.dn = make([]float64, nlev), make([]float64, nlev+1), make([]float64, nlev+1)
+		r.out = make([]ColumnFluxes, s.G.NCells)
+	}
+	out, trans, up, dn := r.out, r.trans, r.up, r.dn
 	for c := 0; c < s.G.NCells; c++ {
 		lat, _ := s.G.CellCenter[c].LatLon()
 		// Layer transmissivities from composition.

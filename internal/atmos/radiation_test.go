@@ -2,6 +2,7 @@ package atmos
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"icoearth/internal/grid"
@@ -61,7 +62,7 @@ func TestRadiationOLR(t *testing.T) {
 func TestRadiationCO2Greenhouse(t *testing.T) {
 	s, bc := radSetup()
 	r := NewRadiation()
-	base := r.Step(s, 0, bc) // dt=0: diagnostics only, no heating applied
+	base := slices.Clone(r.Step(s, 0, bc)) // dt=0: diagnostics only, no heating applied
 
 	s2, _ := radSetup()
 	for i := range s2.Tracers[TracerCO2] {
@@ -86,7 +87,7 @@ func TestRadiationCO2Greenhouse(t *testing.T) {
 func TestRadiationMoistGreenhouse(t *testing.T) {
 	s, bc := radSetup()
 	r := NewRadiation()
-	base := r.Step(s, 0, bc)
+	base := slices.Clone(r.Step(s, 0, bc))
 	for i := range s.Tracers[TracerQV] {
 		s.Tracers[TracerQV][i] *= 2
 	}

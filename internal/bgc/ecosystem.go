@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"icoearth/internal/ocean"
+	"icoearth/internal/pow"
 	"icoearth/internal/sched"
 	"icoearth/internal/vertical"
 )
@@ -62,14 +63,14 @@ func DefaultParams() Params {
 // before they dispatch — never inside a parallel body — keyed on the grid
 // and on the bits of the parameters each table is made from, so a Params
 // edited between two calls or a State built by struct literal is served.
-// The zero value is valid: no grid, and the fixedPow of base 0.
+// The zero value is valid: no grid, and the pow.Fixed of base 0.
 type levelTables struct {
 	vert *vertical.Ocean // the grid dz, atten and sinkFrac are built on
 	dz   []float64       // layer thickness
 
 	atten  []float64 // Exp(−LightK·½(z0+z1)): mean light in the layer over surface light
 	lightK uint64    // bits of the LightK in atten
-	q10    fixedPow
+	q10    pow.Fixed
 
 	sinkFrac          []float64 // min(1, SinkSpeed·dt/dz[k−1]): share of layer k−1 that sinks into k
 	sinkSpeed, sinkDt uint64    // bits of the SinkSpeed and dt in sinkFrac
@@ -95,8 +96,8 @@ func (t *levelTables) forEcosystem(oc *ocean.State, p *Params) {
 			t.atten[k] = math.Exp(-p.LightK * 0.5 * (z0 + z1))
 		}
 	}
-	if math.Float64bits(p.Q10) != math.Float64bits(t.q10.x) {
-		t.q10 = newFixedPow(p.Q10)
+	if math.Float64bits(p.Q10) != math.Float64bits(t.q10.Base()) {
+		t.q10 = pow.NewFixed(p.Q10)
 	}
 }
 
@@ -166,7 +167,7 @@ func (s *State) ecosystemColumns(lo, hi int) {
 		for k := 0; k < nlev && !(zIface[k] >= depth); k++ {
 			// Mean light in the layer (Beer's law, self-shading ignored).
 			light := sw * atten[k]
-			q10 := q10Pow.pow((temp[k] - 20) / 10)
+			q10 := q10Pow.Pow((temp[k] - 20) / 10)
 
 			phy, zoo, po4, fe, dic := cPhy[k], cZoo[k], cPO4[k], cFe[k], cDIC[k]
 

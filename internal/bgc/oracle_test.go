@@ -361,63 +361,6 @@ func TestStateByStructLiteral(t *testing.T) {
 	requireSameState(t, "struct literal", got, want)
 }
 
-// TestFixedPowBitsEqualMathPow holds the fixed-base power to math.Pow bit
-// for bit: around every exponent Pow special-cases or where its integer /
-// fraction split changes, over the physical range of (tC−20)/10 and the
-// whole unrolled range, and through the fallback.
-func TestFixedPowBitsEqualMathPow(t *testing.T) {
-	check := func(fp *fixedPow, y float64) {
-		t.Helper()
-		got, want := fp.pow(y), math.Pow(fp.x, y)
-		if math.Float64bits(got) != math.Float64bits(want) &&
-			!(math.IsNaN(got) && math.IsNaN(want)) {
-			t.Fatalf("pow(%v, %v) = %v (%#x), math.Pow gives %v (%#x)", fp.x, y,
-				got, math.Float64bits(got), want, math.Float64bits(want))
-		}
-	}
-	rng := rand.New(rand.NewSource(1))
-	for _, x := range []float64{1.9, 2, 2.5, 0.5, 0.3, 1 + 0x1p-52, 1 - 0x1p-53, 3e9, 7e-8, 0x1.8p63, 0x1p-65} {
-		fp := newFixedPow(x)
-		if fp.lim == 0 {
-			t.Fatalf("base %v not unrolled", x)
-		}
-		for _, y0 := range []float64{0, 0.5, -0.5, 1, -1, 1.5, -1.5, 2, -2, 2.5, 3, -3, 3.5, 4, 5, 6, 7, 7.5, -7.5, fixedPowLim, -fixedPowLim} {
-			up, dn := y0, y0
-			for j := 0; j < 40; j++ {
-				check(&fp, up)
-				check(&fp, dn)
-				up, dn = math.Nextafter(up, math.Inf(1)), math.Nextafter(dn, math.Inf(-1))
-			}
-		}
-		for _, y := range []float64{math.Copysign(0, -1), 5e-324, -5e-324, 1e-300, 0x1p-53, 1 - 0x1p-53,
-			math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300, 1 << 62, 1 << 63, -(1 << 63), 1025, -1075, 2000.5} {
-			check(&fp, y)
-		}
-		n := 200000
-		if x == 1.9 {
-			n = 1000000
-		}
-		for j := 0; j < n; j++ {
-			check(&fp, -2.2+3.2*rng.Float64()) // (tC−20)/10 for −2…30 °C
-		}
-		for j := 0; j < 200000; j++ {
-			check(&fp, 2*fixedPowLim*(rng.Float64()-0.5)*1.1)
-		}
-	}
-	// Bases math.Pow special-cases, or whose squarings could reach its
-	// exponent guard, are not unrolled at all.
-	for _, x := range []float64{1, 0, math.Copysign(0, -1), -1, -1.9, math.Inf(1), math.Inf(-1), math.NaN(),
-		5e-324, 1e-300, 1e300, math.MaxFloat64, 0x1p64, 0x1.fp-66} {
-		fp := newFixedPow(x)
-		if fp.lim != 0 {
-			t.Fatalf("base %v unrolled", x)
-		}
-		for _, y := range []float64{0, 1, 0.5, -0.5, -1, 2, 3, -3, 0.3, -2.7, math.NaN(), math.Inf(1), math.Inf(-1)} {
-			check(&fp, y)
-		}
-	}
-}
-
 // TestSolveCarbonateNearBisection: the closed-form root stays within 1e-12
 // relative of the retired 60-step bisection, in [H⁺], dissolved CO₂ and
 // pCO₂, over DIC 1.5…2.5, alkalinity 1.8…2.8 mol/m³ and −2…32 °C — both

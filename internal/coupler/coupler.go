@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"icoearth/internal/atmos"
@@ -164,6 +163,10 @@ type EarthSystem struct {
 	// concurrent side, so the GPU and CPU goroutines never share a lane.
 	tracer              *trace.Tracer
 	tkWin, tkGPU, tkCPU *trace.Track
+
+	// The overlapped window's CPU side (cpuWindow) reports through these.
+	cpuErr  error
+	cpuDone sync.WaitGroup
 }
 
 // New assembles an Earth system on the given devices (gpu for
@@ -308,10 +311,6 @@ func (es *EarthSystem) updateAtmosPCO2() {
 func (es *EarthSystem) StepWindow() error {
 	cfg := es.Cfg
 	nAtm := int(math.Round(cfg.CouplingDt / cfg.AtmDt))
-	nOc := int(math.Round(cfg.CouplingDt / cfg.OceanDt))
-	if nOc < 1 {
-		nOc = 1
-	}
 
 	tWin := es.tkWin.Start()
 	defer es.tkWin.EndArg("window", tWin, "window", int64(es.windows))
@@ -327,13 +326,13 @@ func (es *EarthSystem) StepWindow() error {
 	var gpuErr, ocErr error
 	if cfg.NoOverlap {
 		gpuErr = es.gpuSide(nAtm, cfg.AtmDt)
-		ocErr = es.cpuSide(nOc, cfg.OceanDt)
+		ocErr = es.cpuSide(es.oceanSteps(), cfg.OceanDt)
 	} else {
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { defer wg.Done(); gpuErr = es.gpuSide(nAtm, cfg.AtmDt) }()
-		go func() { defer wg.Done(); ocErr = es.cpuSide(nOc, cfg.OceanDt) }()
-		wg.Wait()
+		es.cpuDone.Add(1)
+		go es.cpuWindow()
+		gpuErr = es.gpuSide(nAtm, cfg.AtmDt)
+		es.cpuDone.Wait()
+		ocErr = es.cpuErr
 	}
 	if gpuErr != nil || ocErr != nil {
 		// The window is torn: one side may have stepped further than the
@@ -366,6 +365,19 @@ func (es *EarthSystem) StepWindow() error {
 	es.simTime += cfg.CouplingDt
 	es.windows++
 	return nil
+}
+
+// cpuWindow is the CPU side of an overlapped window, on a goroutine of its
+// own while the GPU side runs on StepWindow's. Spawning it allocates the
+// method value (16 bytes), the one allocation of a warmed-up window.
+func (es *EarthSystem) cpuWindow() {
+	defer es.cpuDone.Done()
+	es.cpuErr = es.cpuSide(es.oceanSteps(), es.Cfg.OceanDt)
+}
+
+// oceanSteps is the number of ocean steps in a coupling window.
+func (es *EarthSystem) oceanSteps() int {
+	return max(1, int(math.Round(es.Cfg.CouplingDt/es.Cfg.OceanDt)))
 }
 
 // gpuSide runs the atmosphere+land window (land coupled every atmosphere
@@ -479,16 +491,10 @@ func (es *EarthSystem) gpuStep(dt float64) {
 	}
 	// River discharge reaches the ocean account the moment it leaves land;
 	// the buffered mass enters the ocean's salinity forcing next window.
-	// The float sums must fold in a fixed order (map iteration would leak
-	// nondeterminism into the conservation accounting), so the river
-	// mouths are visited in ascending global-cell order.
-	mouths := make([]int, 0, len(discharge))
-	for gc := range discharge {
-		mouths = append(mouths, gc)
-	}
-	sort.Ints(mouths)
-	for _, gc := range mouths {
-		kgps := discharge[gc]
+	// The float sums fold in a fixed order: the river mouths ascend in
+	// global cell.
+	for j, gc := range es.Land.Rivers.Mouths {
+		kgps := discharge[j]
 		es.oceanWaterAccount += kgps * dt
 		if oi := oc.CellIndex[gc]; oi >= 0 {
 			es.riverBuffer[oi] += kgps * dt

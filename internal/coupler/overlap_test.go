@@ -204,3 +204,31 @@ func TestRollbackAcrossBufferFlip(t *testing.T) {
 		}
 	}
 }
+
+// TestStepWindowSteadyStateAllocs: a warmed-up coupling window rebuilds no
+// launch record, land flux, discharge map, graph label, closure or error
+// slot — a serialised window allocates nothing, an overlapped one only
+// the method value of the CPU side it spawns — on one worker or two.
+// AllocsPerRun counts the whole process: the pool's workers and the
+// spawned CPU side are in the figure.
+func TestStepWindowSteadyStateAllocs(t *testing.T) {
+	defer sched.SetWorkers(0)
+	for _, workers := range []int{1, 2} {
+		for _, noOverlap := range []bool{true, false} {
+			es := newTestSystem(t, func(c *Config) { c.Workers, c.NoOverlap = workers, noOverlap })
+			step := func() {
+				if err := es.StepWindow(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step() // captures the land graph, sizes every scratch, spawns the workers
+			want := 1.0
+			if noOverlap {
+				want = 0
+			}
+			if n := testing.AllocsPerRun(3, step); n != want {
+				t.Errorf("workers=%d NoOverlap=%v: StepWindow allocates %v times per window, want %v", workers, noOverlap, n, want)
+			}
+		}
+	}
+}

@@ -349,6 +349,11 @@ func (d *Device) EndCapture() (*Graph, error) {
 	g := &Graph{device: d, kernels: d.captured}
 	d.captured = nil
 	g.buildLevels()
+	label := "empty"
+	if len(g.kernels) > 0 {
+		label = fmt.Sprintf("%s+%d", g.kernels[0].Name, len(g.kernels)-1)
+	}
+	g.name, g.span = "graph:"+label, "replay:"+label
 	return g, nil
 }
 
@@ -360,6 +365,9 @@ type Graph struct {
 	device  *Device
 	kernels []Kernel
 	levels  [][]int // indices into kernels, topological levels
+	// name is the replay's statistics key and span its trace span, both
+	// built at capture so that a replay allocates nothing.
+	name, span string
 }
 
 // buildLevels computes dependency levels with a simple last-writer
@@ -446,17 +454,8 @@ func (g *Graph) Replay() {
 		bytes += k.Bytes
 		flops += k.Flops
 	}
-	d.account(Kernel{Name: "graph:" + g.label(), Bytes: bytes, Flops: flops}, wall, wall)
-	if d.track != nil {
-		d.track.EndArg("replay:"+g.label(), t0, "kernels", int64(len(g.kernels)))
-	}
-}
-
-func (g *Graph) label() string {
-	if len(g.kernels) == 0 {
-		return "empty"
-	}
-	return fmt.Sprintf("%s+%d", g.kernels[0].Name, len(g.kernels)-1)
+	d.account(Kernel{Name: g.name, Bytes: bytes, Flops: flops}, wall, wall)
+	d.track.EndArg(g.span, t0, "kernels", int64(len(g.kernels)))
 }
 
 // ParallelFor runs body(i) for i in [0,n) with up to workers-way

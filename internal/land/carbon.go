@@ -2,161 +2,15 @@ package land
 
 import "math"
 
-// Carbon cycle kernels. Each operates on a single PFT across all cells —
-// deliberately small kernels, the workload shape the paper accelerates
-// with CUDA Graphs. All pool transfers are internal (conserve carbon);
-// only GPP (uptake) and respiration (release) cross the land–atmosphere
-// boundary, and both are accumulated into CumNEE so the conservation
-// invariant TotalCarbon + Σ CumNEE·area = const can be asserted.
+// The vegetation carbon cycle. All pool transfers are internal (conserve
+// carbon); only GPP (uptake) and respiration (release) cross the
+// land–atmosphere boundary, and both are accumulated into CumNEE so the
+// conservation invariant TotalCarbon + Σ CumNEE·area = const can be
+// asserted.
 
 // CToCO2 converts a carbon mass flux to a CO₂ mass flux (molar masses
 // 44/12).
 const CToCO2 = 44.0 / 12.0
-
-// PhenologyKernel adjusts leaf carbon toward the climate-driven target LAI
-// for PFT p: leaf flush draws from the reserve pool, shedding goes to
-// above-ground green litter.
-func (s *State) PhenologyKernel(dt float64, p int) {
-	pft := &s.PFTs[p]
-	for i := range s.Cells {
-		cov := s.Cover[i*NumPFT+p]
-		if cov == 0 {
-			continue
-		}
-		pool := s.poolSlice(i, p)
-		tC := s.SurfaceTemp(i) - TMelt
-		moist := s.SoilMoist[i*NSoil]
-		// Growing-season factor.
-		fT := math.Exp(-(tC - pft.TOpt) * (tC - pft.TOpt) / (2 * pft.TRange * pft.TRange))
-		fW := math.Min(1, moist/pft.MoistThresh)
-		targetLAI := pft.LAIMax * fT * fW * cov
-		targetLeaf := targetLAI / pft.SLA
-		leaf := pool[PoolLeaf]
-		const tau = 10 * 86400.0 // phenological timescale
-		adj := (targetLeaf - leaf) * math.Min(1, dt/tau)
-		if adj > 0 {
-			flush := math.Min(adj, pool[PoolReserve])
-			pool[PoolReserve] -= flush
-			pool[PoolLeaf] += flush
-		} else {
-			shed := math.Min(-adj, leaf)
-			pool[PoolLeaf] -= shed
-			pool[PoolLitAbA] += 0.4 * shed
-			pool[PoolLitAbW] += 0.3 * shed
-			pool[PoolLitAbE] += 0.2 * shed
-			pool[PoolLitAbN] += 0.1 * shed
-		}
-		s.LAI[i*NumPFT+p] = pool[PoolLeaf] * pft.SLA
-	}
-}
-
-// PhotosynthesisKernel computes GPP and autotrophic respiration for PFT p,
-// updates the reserve pool with the NPP and accumulates the net CO₂ flux.
-// npp[i] (kg C/m²/s, may be negative) is stored for the allocation kernel.
-func (s *State) PhotosynthesisKernel(dt float64, p int, sw []float64, npp []float64) {
-	pft := &s.PFTs[p]
-	for i := range s.Cells {
-		cov := s.Cover[i*NumPFT+p]
-		if cov == 0 {
-			npp[i] = 0
-			continue
-		}
-		pool := s.poolSlice(i, p)
-		tC := s.SurfaceTemp(i) - TMelt
-		moist := s.SoilMoist[i*NSoil]
-		lai := s.LAI[i*NumPFT+p]
-		// Absorbed PAR: half of shortwave, Beer's law over the PFT's LAI.
-		apar := 0.5 * sw[i] * (1 - math.Exp(-0.5*lai)) * cov * 1e-6 // MJ/m²/s
-		fT := math.Exp(-(tC - pft.TOpt) * (tC - pft.TOpt) / (2 * pft.TRange * pft.TRange))
-		fW := math.Min(1, moist/pft.MoistThresh)
-		gpp := pft.LUE * apar * fT * fW // kg C/m²/s
-		// Maintenance respiration: live pools, Q10 temperature response.
-		live := pool[PoolLeaf] + pool[PoolRoot] + 0.05*pool[PoolWood]
-		q10 := math.Pow(2, (tC-25)/10)
-		ra := pft.RespFactor * live * q10
-		// Growth respiration: 25% of positive assimilate.
-		if gpp > ra {
-			ra += 0.25 * (gpp - ra)
-		}
-		n := gpp - ra
-		npp[i] = n
-		s.recordNPP(i, p, n, dt)
-		// Carbon crosses the boundary here: uptake reduces CumNEE.
-		s.CumNEE[i] -= (gpp - ra) * dt
-		// NPP lands in the reserve pool (allocation distributes it);
-		// negative NPP draws the reserve down (and leaf if exhausted).
-		if n >= 0 {
-			pool[PoolReserve] += n * dt
-		} else {
-			need := -n * dt
-			take := math.Min(need, pool[PoolReserve])
-			pool[PoolReserve] -= take
-			need -= take
-			take = math.Min(need, pool[PoolLeaf])
-			pool[PoolLeaf] -= take
-			need -= take
-			if need > 0 {
-				// The pools could not supply the respiration deficit;
-				// correct the boundary accounting so carbon is conserved.
-				s.CumNEE[i] -= need
-			}
-		}
-	}
-}
-
-// AllocationKernel distributes reserve carbon to the structural pools of
-// PFT p with its allocation fractions.
-func (s *State) AllocationKernel(dt float64, p int) {
-	pft := &s.PFTs[p]
-	const tau = 5 * 86400.0
-	for i := range s.Cells {
-		if s.Cover[i*NumPFT+p] == 0 {
-			continue
-		}
-		pool := s.poolSlice(i, p)
-		avail := pool[PoolReserve] * math.Min(1, dt/tau)
-		if avail <= 0 {
-			continue
-		}
-		pool[PoolReserve] -= avail * (pft.AllocLeaf + pft.AllocWood + pft.AllocRoot + pft.AllocFruit)
-		pool[PoolLeaf] += avail * pft.AllocLeaf
-		pool[PoolWood] += avail * pft.AllocWood
-		pool[PoolRoot] += avail * pft.AllocRoot
-		pool[PoolFruit] += avail * pft.AllocFruit
-		s.LAI[i*NumPFT+p] = pool[PoolLeaf] * pft.SLA
-	}
-}
-
-// TurnoverKernel moves structural carbon of PFT p into the litter cascade
-// with the PFT's turnover rates; fruit becomes seed bank and exudates.
-func (s *State) TurnoverKernel(dt float64, p int) {
-	pft := &s.PFTs[p]
-	for i := range s.Cells {
-		if s.Cover[i*NumPFT+p] == 0 {
-			continue
-		}
-		pool := s.poolSlice(i, p)
-		leafOut := pool[PoolLeaf] * pft.LeafTurn * dt
-		woodOut := pool[PoolWood] * pft.WoodTurn * dt
-		rootOut := pool[PoolRoot] * pft.RootTurn * dt
-		fruitOut := pool[PoolFruit] * (1.0 / (90 * 86400)) * dt
-		pool[PoolLeaf] -= leafOut
-		pool[PoolWood] -= woodOut
-		pool[PoolRoot] -= rootOut
-		pool[PoolFruit] -= fruitOut
-		pool[PoolLitAbA] += 0.4 * leafOut
-		pool[PoolLitAbW] += 0.3 * leafOut
-		pool[PoolLitAbE] += 0.2 * leafOut
-		pool[PoolLitAbN] += 0.1 * leafOut
-		pool[PoolDebris] += woodOut
-		pool[PoolLitBeA] += 0.35 * rootOut
-		pool[PoolLitBeW] += 0.3 * rootOut
-		pool[PoolLitBeE] += 0.2 * rootOut
-		pool[PoolLitBeN] += 0.15 * rootOut
-		pool[PoolSeedBank] += 0.7 * fruitOut
-		pool[PoolExudates] += 0.3 * fruitOut
-	}
-}
 
 // decayChain describes the litter/soil cascade: each source pool decays
 // with rate k (1/s at 25 °C); a fraction toNext continues to the next pool
@@ -184,21 +38,124 @@ var decayChain = []struct {
 	{PoolCharcoal, PoolCharcoal, 1.0 / (5000 * 365 * 86400), 0},
 }
 
-// DecayKernel advances the litter/soil cascade for PFT p; the respired
-// fraction of every transfer is heterotrophic respiration, added to CumNEE.
-func (s *State) DecayKernel(dt float64, p int) {
-	for i := range s.Cells {
-		if s.Cover[i*NumPFT+p] == 0 {
+// vegetation runs the five vegetation processes — phenology,
+// photosynthesis, allocation, turnover, decay — of every PFT with cover on
+// land cell i, PFT by PFT, under shortwave sw. What depends on the cell
+// alone (its temperatures, moistures and the two Q10 factors) is
+// evaluated once for all PFTs, and phenology's temperature and moisture
+// factors once for phenology and photosynthesis: the vegetation processes
+// write no soil state, so each is the value every process computed.
+func (m *Model) vegetation(i int, sw float64) {
+	s, t, dt := m.State, &m.tab, m.dt
+	tC := s.SoilTemp[i*NSoil] - TMelt
+	moist := s.SoilMoist[i*NSoil]
+	q10Ra := t.q10Ra.Pow((tC - 25) / 10)
+	tSoil := s.SoilTemp[i*NSoil+1] - TMelt // upper-soil temperature drives Rh
+	q10Rh := t.q10Rh.Pow((tSoil - 25) / 10)
+	fWRh := 0.2 + 0.8*math.Min(1, s.SoilMoist[i*NSoil+1]/0.5)
+	for p := range NumPFT {
+		idx := i*NumPFT + p
+		cov := s.Cover[idx]
+		if cov == 0 {
 			continue
 		}
-		pool := s.poolSlice(i, p)
-		tC := s.SoilTemp[i*NSoil+1] - TMelt // upper-soil temperature drives Rh
-		moist := s.SoilMoist[i*NSoil+1]
-		q10 := math.Pow(2.2, (tC-25)/10)
-		fW := 0.2 + 0.8*math.Min(1, moist/0.5)
+		pft := &s.PFTs[p]
+		pool := (*[NumPools]float64)(s.Pools[idx*NumPools:])
+
+		// Phenology: leaf carbon relaxes toward the climate-driven target
+		// LAI; leaf flush draws from the reserve pool, shedding goes to
+		// above-ground green litter.
+		fT := math.Exp(-(tC - pft.TOpt) * (tC - pft.TOpt) / (2 * pft.TRange * pft.TRange))
+		fW := math.Min(1, moist/pft.MoistThresh)
+		targetLAI := pft.LAIMax * fT * fW * cov
+		targetLeaf := targetLAI / pft.SLA
+		leaf := pool[PoolLeaf]
+		adj := (targetLeaf - leaf) * t.phenology
+		if adj > 0 {
+			flush := math.Min(adj, pool[PoolReserve])
+			pool[PoolReserve] -= flush
+			pool[PoolLeaf] += flush
+		} else {
+			shed := math.Min(-adj, leaf)
+			pool[PoolLeaf] -= shed
+			pool[PoolLitAbA] += 0.4 * shed
+			pool[PoolLitAbW] += 0.3 * shed
+			pool[PoolLitAbE] += 0.2 * shed
+			pool[PoolLitAbN] += 0.1 * shed
+		}
+		lai := pool[PoolLeaf] * pft.SLA
+		s.LAI[idx] = lai
+
+		// Photosynthesis: GPP less autotrophic respiration (maintenance of
+		// the live pools with a Q10 response, growth at 25% of positive
+		// assimilate) is the NPP, which lands in the reserve pool.
+		apar := 0.5 * sw * (1 - math.Exp(-0.5*lai)) * cov * 1e-6 // absorbed PAR, MJ/m²/s
+		gpp := pft.LUE * apar * fT * fW                          // kg C/m²/s
+		live := pool[PoolLeaf] + pool[PoolRoot] + 0.05*pool[PoolWood]
+		ra := pft.RespFactor * live * q10Ra
+		if gpp > ra {
+			ra += 0.25 * (gpp - ra)
+		}
+		n := gpp - ra
+		s.NPPAvg[idx] += t.nppSmoothing * (n - s.NPPAvg[idx])
+		s.CumNEE[i] -= n * dt // uptake crosses the boundary here
+		if n >= 0 {
+			pool[PoolReserve] += n * dt
+		} else {
+			// Negative NPP draws the reserve down, then the leaves.
+			need := -n * dt
+			take := math.Min(need, pool[PoolReserve])
+			pool[PoolReserve] -= take
+			need -= take
+			take = math.Min(need, pool[PoolLeaf])
+			pool[PoolLeaf] -= take
+			need -= take
+			if need > 0 {
+				// The pools could not supply the respiration deficit;
+				// correct the boundary accounting so carbon is conserved.
+				s.CumNEE[i] -= need
+			}
+		}
+
+		// Allocation: reserve carbon to the structural pools with the
+		// PFT's allocation fractions.
+		if avail := pool[PoolReserve] * t.allocation; !(avail <= 0) {
+			pool[PoolReserve] -= avail * (pft.AllocLeaf + pft.AllocWood + pft.AllocRoot + pft.AllocFruit)
+			pool[PoolLeaf] += avail * pft.AllocLeaf
+			pool[PoolWood] += avail * pft.AllocWood
+			pool[PoolRoot] += avail * pft.AllocRoot
+			pool[PoolFruit] += avail * pft.AllocFruit
+			s.LAI[idx] = pool[PoolLeaf] * pft.SLA
+		}
+
+		// Turnover: structural carbon into the litter cascade; fruit
+		// becomes seed bank and exudates.
+		leafOut := pool[PoolLeaf] * pft.LeafTurn * dt
+		woodOut := pool[PoolWood] * pft.WoodTurn * dt
+		rootOut := pool[PoolRoot] * pft.RootTurn * dt
+		fruitOut := pool[PoolFruit] * (1.0 / (90 * 86400)) * dt
+		pool[PoolLeaf] -= leafOut
+		pool[PoolWood] -= woodOut
+		pool[PoolRoot] -= rootOut
+		pool[PoolFruit] -= fruitOut
+		pool[PoolLitAbA] += 0.4 * leafOut
+		pool[PoolLitAbW] += 0.3 * leafOut
+		pool[PoolLitAbE] += 0.2 * leafOut
+		pool[PoolLitAbN] += 0.1 * leafOut
+		pool[PoolDebris] += woodOut
+		pool[PoolLitBeA] += 0.35 * rootOut
+		pool[PoolLitBeW] += 0.3 * rootOut
+		pool[PoolLitBeE] += 0.2 * rootOut
+		pool[PoolLitBeN] += 0.15 * rootOut
+		pool[PoolSeedBank] += 0.7 * fruitOut
+		pool[PoolExudates] += 0.3 * fruitOut
+
+		// Decay: the litter/soil cascade; the respired fraction of every
+		// transfer is heterotrophic respiration, released to the
+		// atmosphere.
 		var rh float64
 		for _, st := range decayChain {
-			out := pool[st.src] * st.k * q10 * fW * dt
+			out := pool[st.src] * st.k * q10Rh * fWRh * dt
 			if out > pool[st.src] {
 				out = pool[st.src]
 			}
@@ -207,15 +164,6 @@ func (s *State) DecayKernel(dt float64, p int) {
 			rh += out * (1 - st.toNext)
 		}
 		s.CumNEE[i] += rh
-	}
-}
-
-// NetCO2Flux converts the CumNEE increments of the current step into a
-// CO₂ mass flux to the atmosphere. The caller passes the CumNEE snapshot
-// from before the step; out receives kg CO₂/m²/s.
-func (s *State) NetCO2Flux(prevCumNEE []float64, dt float64, out []float64) {
-	for i := range s.Cells {
-		out[i] = (s.CumNEE[i] - prevCumNEE[i]) / dt * CToCO2
 	}
 }
 

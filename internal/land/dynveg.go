@@ -19,52 +19,41 @@ const SuccessionTime = 50 * 365 * 86400.0
 // nppSmoothing is the EMA timescale of the fitness measure (s).
 const nppSmoothing = 30 * 86400.0
 
-// recordNPP updates the smoothed productivity of (cell i, pft p).
-func (s *State) recordNPP(i, p int, npp, dt float64) {
-	w := math.Min(1, dt/nppSmoothing)
-	idx := i*NumPFT + p
-	s.NPPAvg[idx] += w * (npp - s.NPPAvg[idx])
-}
-
-// DynamicVegetationKernel advances the cover fractions by competition.
-// successionTime ≤ 0 uses the default.
-func (s *State) DynamicVegetationKernel(dt, successionTime float64) {
-	if successionTime <= 0 {
-		successionTime = SuccessionTime
+// dynamicVegetation advances the cover fractions of land cell i by
+// competition, relaxing each toward its fitness share with weight w
+// (min(1, dt/succession time)).
+func (s *State) dynamicVegetation(i int, w float64) {
+	cover := (*[NumPFT]float64)(s.Cover[i*NumPFT:])
+	fitness := (*[NumPFT]float64)(s.NPPAvg[i*NumPFT:])
+	// Total vegetated fraction stays fixed; fitness shares move within.
+	var total, fitSum float64
+	for p := range NumPFT {
+		total += cover[p]
+		if f := fitness[p]; f > 0 {
+			fitSum += f
+		}
 	}
-	w := math.Min(1, dt/successionTime)
-	for i := range s.Cells {
-		// Total vegetated fraction stays fixed; fitness shares move within.
-		var total, fitSum float64
-		for p := 0; p < NumPFT; p++ {
-			total += s.Cover[i*NumPFT+p]
-			if f := s.NPPAvg[i*NumPFT+p]; f > 0 {
-				fitSum += f
-			}
+	if total <= 0 || fitSum <= 0 {
+		return
+	}
+	for p := range NumPFT {
+		fit := math.Max(0, fitness[p])
+		target := total * fit / fitSum
+		cover[p] += w * (target - cover[p])
+		if cover[p] < 0 {
+			cover[p] = 0
 		}
-		if total <= 0 || fitSum <= 0 {
-			continue
-		}
-		for p := 0; p < NumPFT; p++ {
-			idx := i*NumPFT + p
-			fit := math.Max(0, s.NPPAvg[idx])
-			target := total * fit / fitSum
-			s.Cover[idx] += w * (target - s.Cover[idx])
-			if s.Cover[idx] < 0 {
-				s.Cover[idx] = 0
-			}
-		}
-		// Renormalise round-off so the vegetated fraction is exactly
-		// preserved.
-		var newTotal float64
-		for p := 0; p < NumPFT; p++ {
-			newTotal += s.Cover[i*NumPFT+p]
-		}
-		if newTotal > 0 {
-			f := total / newTotal
-			for p := 0; p < NumPFT; p++ {
-				s.Cover[i*NumPFT+p] *= f
-			}
+	}
+	// Renormalise round-off so the vegetated fraction is exactly
+	// preserved.
+	var newTotal float64
+	for p := range NumPFT {
+		newTotal += cover[p]
+	}
+	if newTotal > 0 {
+		f := total / newTotal
+		for p := range NumPFT {
+			cover[p] *= f
 		}
 	}
 }

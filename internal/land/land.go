@@ -5,12 +5,15 @@
 // to 11 plant functional types, each carrying 21 carbon pools plus a
 // prognostic leaf area index (Table 2 of the paper).
 //
-// The computational signature matters as much as the physics: the model is
-// deliberately organised as many small per-PFT kernels with little work
-// each — the exact structure that makes launch latency dominate on GPUs and
-// that the paper attacks with CUDA Graphs (§5.1, 8–10× speedup). The Model
-// wrapper submits one kernel per (process, PFT) so graph capture has the
-// same effect here.
+// The computational signature matters as much as the physics: JSBach is
+// many small per-PFT kernels with little work each — the structure that
+// makes launch latency dominate on GPUs and that the paper attacks with
+// CUDA Graphs (§5.1, 8–10× speedup). The Model launches one record per
+// process and per (vegetation process, PFT), so the simulated device and
+// graph capture see that stream, while the host runs the whole step as
+// one pass over the land cells on the worker pool: every process touches
+// only its own cell, so the pass is bit-identical to the per-process
+// sequence at any worker count (DESIGN.md §20).
 package land
 
 import (

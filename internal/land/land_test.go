@@ -2,6 +2,7 @@ package land
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"icoearth/internal/exec"
@@ -54,6 +55,10 @@ func TestStateSetup(t *testing.T) {
 	}
 }
 
+// TestSnowRainSplit holds one process on its own, which the fused step
+// cannot isolate: it runs the retired kernel of oracle_test.go, and
+// TestStepMatchesKernelSequence ties the step to that kernel bit for bit.
+// So do TestInfiltrationAndRunoff and TestLAIRespondsToSeason.
 func TestSnowRainSplit(t *testing.T) {
 	s := testLand()
 	f := NewForcing(s.NLand())
@@ -83,6 +88,8 @@ func TestSnowRainSplit(t *testing.T) {
 	}
 }
 
+// TestInfiltrationAndRunoff runs the retired infiltration kernel (see
+// TestSnowRainSplit).
 func TestInfiltrationAndRunoff(t *testing.T) {
 	s := testLand()
 	i := 0
@@ -116,33 +123,41 @@ func TestInfiltrationAndRunoff(t *testing.T) {
 	}
 }
 
-// TestWaterConservationNoET: snow/rain + infiltration + moisture transport
-// conserve water exactly when nothing evaporates.
+// TestWaterConservation: over land steps, the land's water changes by the
+// precipitation less the evapotranspiration and the river discharge.
 func TestWaterConservation(t *testing.T) {
-	s := testLand()
+	g := grid.New(grid.R2B(2))
+	m := NewModel(g, grid.NewMask(g), newTestDevice())
+	s := m.State
 	f := testForcing(s)
 	w0 := s.TotalWater()
-	var precipIn float64
+	var precipIn, out float64
 	const dt = 1800
 	for n := 0; n < 20; n++ {
-		s.SnowAndRainKernel(dt, f)
-		s.SnowMeltKernel(dt)
-		s.InfiltrationKernel(dt)
-		s.SoilMoistureKernel(dt)
-	}
-	for i, c := range s.Cells {
-		precipIn += f.Precip[i] * dt * 20 * s.G.CellArea[c]
+		fl, dis := m.Step(dt, f)
+		for i, c := range s.Cells {
+			precipIn += f.Precip[i] * dt * s.G.CellArea[c]
+			out += fl.Evapotranspiration[i] * dt * s.G.CellArea[c]
+		}
+		for _, v := range dis {
+			out += v * dt
+		}
 	}
 	w1 := s.TotalWater()
-	if rel := math.Abs(w1-w0-precipIn) / precipIn; rel > 1e-9 {
-		t.Errorf("water budget error = %e (got %v want %v)", rel, w1-w0, precipIn)
+	if rel := math.Abs(w1-w0-(precipIn-out)) / precipIn; rel > 1e-9 {
+		t.Errorf("water budget error = %e (got %v want %v)", rel, w1-w0, precipIn-out)
+	}
+	if out <= 0 {
+		t.Errorf("no water left the land: %v", out)
 	}
 }
 
 // TestCarbonConservation: the fundamental invariant — pool inventory plus
 // cumulative boundary flux is constant.
 func TestCarbonConservation(t *testing.T) {
-	s := testLand()
+	g := grid.New(grid.R2B(2))
+	m := NewModel(g, grid.NewMask(g), newTestDevice())
+	s := m.State
 	f := testForcing(s)
 	invariant := func() float64 {
 		total := s.TotalCarbon()
@@ -153,15 +168,8 @@ func TestCarbonConservation(t *testing.T) {
 	}
 	i0 := invariant()
 	const dt = 3600
-	npp := make([]float64, s.NLand())
 	for n := 0; n < 100; n++ {
-		for p := 0; p < NumPFT; p++ {
-			s.PhenologyKernel(dt, p)
-			s.PhotosynthesisKernel(dt, p, f.SWDown, npp)
-			s.AllocationKernel(dt, p)
-			s.TurnoverKernel(dt, p)
-			s.DecayKernel(dt, p)
-		}
+		m.Step(dt, f)
 	}
 	i1 := invariant()
 	if rel := math.Abs(i1-i0) / math.Abs(i0); rel > 1e-10 {
@@ -175,11 +183,15 @@ func TestCarbonConservation(t *testing.T) {
 	}
 }
 
-// TestPhotosynthesisUptake: sunny warm moist cells take up carbon.
+// TestPhotosynthesisUptake: sunny warm moist cells take up carbon — their
+// NPP, the uptake photosynthesis books against CumNEE net of autotrophic
+// respiration, is positive. The step reports it through the smoothed
+// productivity: from NPPAvg = 0, one step leaves min(1, dt/30 days)·NPP.
 func TestPhotosynthesisUptake(t *testing.T) {
-	s := testLand()
+	g := grid.New(grid.R2B(2))
+	m := NewModel(g, grid.NewMask(g), newTestDevice())
+	s := m.State
 	f := testForcing(s)
-	npp := make([]float64, s.NLand())
 	// Pick a tropical land cell with vegetation.
 	best := -1
 	for i, c := range s.Cells {
@@ -192,31 +204,38 @@ func TestPhotosynthesisUptake(t *testing.T) {
 	if best < 0 {
 		t.Skip("no tropical land cell on this grid")
 	}
-	// Give it leaves.
-	s.PhenologyKernel(86400, 0)
-	nee0 := s.CumNEE[best]
-	s.PhotosynthesisKernel(3600, 0, f.SWDown, npp)
-	if s.CumNEE[best] >= nee0 {
-		t.Errorf("no net uptake in tropical daylight: ΔNEE=%v, npp=%v", s.CumNEE[best]-nee0, npp[best])
+	// A day of hourly steps gives it leaves.
+	for n := 0; n < 24; n++ {
+		m.Step(3600, f)
+	}
+	idx := best*NumPFT + 0
+	s.NPPAvg[idx] = 0
+	m.Step(3600, f)
+	if s.NPPAvg[idx] <= 0 {
+		t.Errorf("no net uptake in tropical daylight: NPP·min(1, dt/30 d) = %v", s.NPPAvg[idx])
+	}
+	// The next hour in the dark: respiration only.
+	s.NPPAvg[idx], f.SWDown[best] = 0, 0
+	m.Step(3600, f)
+	if s.NPPAvg[idx] >= 0 {
+		t.Errorf("net uptake in the dark: NPP·min(1, dt/30 d) = %v", s.NPPAvg[idx])
 	}
 }
 
 func TestSoilTemperatureRelaxes(t *testing.T) {
-	s := testLand()
+	g := grid.New(grid.R2B(2))
+	m := NewModel(g, grid.NewMask(g), newTestDevice())
+	s := m.State
 	f := testForcing(s)
-	latent := make([]float64, s.NLand())
-	// Long integration: surface temperature must stay bounded and respond
-	// to radiation (warm in tropics, cold at poles).
+	// Long integration: surface temperature must stay bounded.
 	for n := 0; n < 200; n++ {
-		s.SoilTemperatureKernel(3600, f, latent)
+		m.Step(3600, f)
 	}
-	for i, c := range s.Cells {
+	for i := range s.Cells {
 		ts := s.SurfaceTemp(i)
 		if ts < 150 || ts > 360 {
 			t.Fatalf("surface temp %v out of range", ts)
 		}
-		lat, _ := s.G.CellCenter[c].LatLon()
-		_ = lat
 	}
 }
 
@@ -236,9 +255,12 @@ func TestRiversDrainToOcean(t *testing.T) {
 		s.Runoff[i] = 7
 	}
 	w0 := s.TotalWater()
-	dis := map[int]float64{}
 	const dt = 3600
-	r.DischargeKernel(dt, dis)
+	release, dis := make([]float64, s.NLand()), make([]float64, len(r.Mouths))
+	for i := range s.Cells {
+		release[i] = r.release(i, dt)
+	}
+	r.fold(release, dis)
 	var out float64
 	for _, v := range dis {
 		out += v * dt
@@ -249,6 +271,9 @@ func TestRiversDrainToOcean(t *testing.T) {
 	}
 	if len(dis) == 0 {
 		t.Error("no discharge targets")
+	}
+	if !slices.IsSorted(r.Mouths) || len(slices.Compact(slices.Clone(r.Mouths))) != len(r.Mouths) {
+		t.Errorf("mouths not strictly ascending: %v", r.Mouths)
 	}
 }
 
@@ -321,6 +346,8 @@ func TestModelFluxesPopulated(t *testing.T) {
 	}
 }
 
+// TestLAIRespondsToSeason runs the retired phenology kernel (see
+// TestSnowRainSplit).
 func TestLAIRespondsToSeason(t *testing.T) {
 	s := testLand()
 	// A temperate deciduous cell: warm → grows leaves; freeze → sheds.

@@ -1,17 +1,24 @@
 package land
 
+import "slices"
+
 // Rivers routes land runoff to the coastal ocean — the paper's
 // "hydrological discharge from land to ocean". Every land cell drains to
 // its nearest ocean cell (multi-source BFS over the cell adjacency from
 // all ocean cells), and the runoff reservoir releases with a linear
-// timescale, producing a freshwater flux per global ocean cell.
+// timescale, producing a freshwater flux per river mouth.
 type Rivers struct {
 	S *State
 	// DrainTarget[i] is the global ocean cell receiving land cell i's
 	// discharge.
 	DrainTarget []int
+	// Mouths lists the distinct drain targets in ascending global cell
+	// order; a step's discharge is a slice over it.
+	Mouths []int
 	// ReleaseTime is the linear reservoir timescale (s).
 	ReleaseTime float64
+
+	mouth []int // land cell i's index into Mouths, -1 without a target
 }
 
 // NewRivers computes the drainage map.
@@ -46,23 +53,44 @@ func NewRivers(s *State) *Rivers {
 	for i, c := range s.Cells {
 		r.DrainTarget[i] = next[c]
 	}
+	r.Mouths = slices.Compact(slices.Sorted(slices.Values(r.DrainTarget)))
+	if len(r.Mouths) > 0 && r.Mouths[0] < 0 {
+		r.Mouths = r.Mouths[1:]
+	}
+	r.mouth = make([]int, s.NLand())
+	for i, c := range r.DrainTarget {
+		r.mouth[i] = -1
+		if c >= 0 {
+			r.mouth[i], _ = slices.BinarySearch(r.Mouths, c)
+		}
+	}
 	return r
 }
 
-// DischargeKernel releases runoff into discharge (kg/s added per global
-// ocean cell id; the caller zeroes/aggregates it).
-func (r *Rivers) DischargeKernel(dt float64, discharge map[int]float64) {
+// release lets land cell i's runoff reservoir drain for dt and returns
+// what leaves it, as a flux to its river mouth (kg/s).
+func (r *Rivers) release(i int, dt float64) float64 {
 	s := r.S
+	if s.Runoff[i] <= 0 || r.DrainTarget[i] < 0 {
+		return 0
+	}
 	frac := dt / r.ReleaseTime
 	if frac > 1 {
 		frac = 1
 	}
-	for i, c := range s.Cells {
-		if s.Runoff[i] <= 0 || r.DrainTarget[i] < 0 {
-			continue
+	out := s.Runoff[i] * frac // kg/m²
+	s.Runoff[i] -= out
+	return out * s.G.CellArea[s.Cells[i]] / dt
+}
+
+// fold sums the land cells' releases into discharge, one entry per mouth
+// (kg/s), in ascending land-cell order. A cell that released nothing adds
+// +0, which leaves every sum's bits as they are.
+func (r *Rivers) fold(release, discharge []float64) {
+	clear(discharge)
+	for i, j := range r.mouth {
+		if j >= 0 {
+			discharge[j] += release[i]
 		}
-		out := s.Runoff[i] * frac // kg/m²
-		s.Runoff[i] -= out
-		discharge[r.DrainTarget[i]] += out * s.G.CellArea[c] / dt // kg/s
 	}
 }

@@ -1,6 +1,10 @@
 package land
 
-import "math"
+import (
+	"math"
+
+	"icoearth/internal/vertical"
+)
 
 // Physical constants of the land surface scheme.
 const (
@@ -58,168 +62,131 @@ func (s *State) Albedo(i int) float64 {
 	return GroundAlbedo*(1-snowFrac) + SnowAlbedo*snowFrac
 }
 
-// SnowAndRainKernel splits precipitation into snowfall (accumulates) and
-// rainfall (goes to the skin reservoir for infiltration).
-func (s *State) SnowAndRainKernel(dt float64, f *Forcing) {
-	for i := range s.Cells {
-		p := f.Precip[i] * dt // kg/m² this step
-		if s.SurfaceTemp(i) < TMelt {
-			s.Snow[i] += p
-		} else {
-			s.Skin[i] += p
+// factorSoil eliminates the soil-temperature matrix of dt.
+func (t *tables) factorSoil(soil *vertical.Soil, dt float64) {
+	for k := 0; k < NSoil; k++ {
+		dz := soil.Thickness[k]
+		var up, dn float64
+		if k > 0 {
+			gap := soil.Depth[k] - soil.Depth[k-1]
+			up = SoilConduct * dt / (SoilHeatCap * dz * gap)
 		}
+		if k < NSoil-1 {
+			gap := soil.Depth[k+1] - soil.Depth[k]
+			dn = SoilConduct * dt / (SoilHeatCap * dz * gap)
+		}
+		t.mul[k], t.piv[k], t.c[k] = -up, 1+up+dn, -dn
+	}
+	for k := 1; k < NSoil; k++ {
+		t.mul[k] /= t.piv[k-1]
+		t.piv[k] -= t.mul[k] * t.c[k-1]
 	}
 }
 
-// SnowMeltKernel melts snow with the energy surplus of a surface above
-// freezing, cooling the surface correspondingly.
-func (s *State) SnowMeltKernel(dt float64) {
-	dz0 := s.Soil.Thickness[0]
-	heatCap := SoilHeatCap * dz0
-	for i := range s.Cells {
-		if s.Snow[i] <= 0 || s.SoilTemp[i*NSoil] <= TMelt {
-			continue
-		}
-		excess := (s.SoilTemp[i*NSoil] - TMelt) * heatCap // J/m²
+// pow4 is math.Pow(x, 4), bit for bit wherever x⁴ is not subnormal
+// (|x| ≥ 2^−255.5, any temperature): Pow squares x's mantissa twice,
+// rounding each square, and scales by a power of two — the rounding
+// x·x and (x·x)·(x·x) perform while the squares stay normal
+// (TestPow4BitsEqualMathPow, DESIGN.md §20).
+func pow4(x float64) float64 { return (x * x) * (x * x) }
+
+// soil runs the six snow and soil processes — snowrain, snowmelt,
+// infiltration, evapotranspiration, soiltemp, soilmoist — on land cell i,
+// in that order.
+func (m *Model) soil(i int) {
+	s, t, dt, f, fl := m.State, &m.tab, m.dt, m.forcing, m.fluxes
+	temp := (*[NSoil]float64)(s.SoilTemp[i*NSoil:])
+	moist := (*[NSoil]float64)(s.SoilMoist[i*NSoil:])
+
+	// Snow and rain: precipitation on a frozen surface accumulates as
+	// snow; rain goes to the skin reservoir.
+	if p := f.Precip[i] * dt; temp[0] < TMelt {
+		s.Snow[i] += p
+	} else {
+		s.Skin[i] += p
+	}
+
+	// Snowmelt: the energy surplus of a surface above freezing melts
+	// snow and cools the surface correspondingly.
+	if !(s.Snow[i] <= 0 || temp[0] <= TMelt) {
+		excess := (temp[0] - TMelt) * t.heat0 // J/m²
 		melt := math.Min(s.Snow[i], excess/LfSnow)
 		s.Snow[i] -= melt
 		s.Skin[i] += melt
-		s.SoilTemp[i*NSoil] -= melt * LfSnow / heatCap
+		temp[0] -= melt * LfSnow / t.heat0
 	}
-}
 
-// InfiltrationKernel moves skin water into the soil column; saturated
-// excess becomes runoff.
-func (s *State) InfiltrationKernel(dt float64) {
-	for i := range s.Cells {
-		if s.Skin[i] <= 0 {
-			continue
-		}
+	// Infiltration: skin water fills the column from the top; saturated
+	// excess becomes runoff.
+	if !(s.Skin[i] <= 0) {
 		avail := s.Skin[i]
 		s.Skin[i] = 0
 		for k := 0; k < NSoil && avail > 0; k++ {
-			capK := SatCapacity * s.Soil.Thickness[k] / s.Soil.TotalDepth()
-			room := (1 - s.SoilMoist[i*NSoil+k]) * capK
+			room := (1 - moist[k]) * t.capK[k]
 			take := math.Min(avail, room)
-			s.SoilMoist[i*NSoil+k] += take / capK
+			moist[k] += take / t.capK[k]
 			avail -= take
 		}
 		s.Runoff[i] += avail
 	}
-}
 
-// SoilTemperatureKernel integrates the 5-level heat diffusion implicitly,
-// with the surface energy balance (shortwave, longwave, sensible heat,
-// latent cooling by evapotranspiration) as the top source.
-func (s *State) SoilTemperatureKernel(dt float64, f *Forcing, latent []float64) {
-	var a, b, c, d [NSoil]float64
-	for i := range s.Cells {
-		// Surface net energy (W/m²).
-		sw := f.SWDown[i] * (1 - s.Albedo(i))
-		ts := s.SoilTemp[i*NSoil]
-		lw := Emissivity * StefanBoltz * (math.Pow(f.TAir[i], 4) - math.Pow(ts, 4))
-		net := sw + lw + f.SensibleHeat[i] - latent[i]
-		for k := 0; k < NSoil; k++ {
-			dz := s.Soil.Thickness[k]
-			var up, dn float64
-			if k > 0 {
-				gap := s.Soil.Depth[k] - s.Soil.Depth[k-1]
-				up = SoilConduct * dt / (SoilHeatCap * dz * gap)
-			}
-			if k < NSoil-1 {
-				gap := s.Soil.Depth[k+1] - s.Soil.Depth[k]
-				dn = SoilConduct * dt / (SoilHeatCap * dz * gap)
-			}
-			a[k] = -up
-			b[k] = 1 + up + dn
-			c[k] = -dn
-			d[k] = s.SoilTemp[i*NSoil+k]
-		}
-		d[0] += net * dt / (SoilHeatCap * s.Soil.Thickness[0])
-		solveTri5(&a, &b, &c, &d)
-		for k := 0; k < NSoil; k++ {
-			s.SoilTemp[i*NSoil+k] = d[k]
-		}
-	}
-}
-
-// SoilMoistureKernel diffuses moisture between levels and applies a slow
-// gravitational drainage from the deepest level to runoff.
-func (s *State) SoilMoistureKernel(dt float64) {
-	const diff = 2e-7 // moisture exchange rate between layers, 1/s·(layer pair)
-	const drain = 3e-8
-	for i := range s.Cells {
-		base := i * NSoil
-		for k := 0; k < NSoil-1; k++ {
-			d := diff * dt * (s.SoilMoist[base+k] - s.SoilMoist[base+k+1])
-			capK := SatCapacity * s.Soil.Thickness[k] / s.Soil.TotalDepth()
-			capK1 := SatCapacity * s.Soil.Thickness[k+1] / s.Soil.TotalDepth()
-			// Exchange conserves water mass: convert via capacities.
-			s.SoilMoist[base+k] -= d
-			s.SoilMoist[base+k+1] += d * capK / capK1
-		}
-		// Drainage.
-		kb := NSoil - 1
-		capB := SatCapacity * s.Soil.Thickness[kb] / s.Soil.TotalDepth()
-		dr := drain * dt * s.SoilMoist[base+kb]
-		s.SoilMoist[base+kb] -= dr
-		s.Runoff[i] += dr * capB
-	}
-}
-
-// EvapotranspirationKernel computes the water flux from soil to atmosphere:
-// bare-soil evaporation plus transpiration scaled by LAI and moisture
-// stress, limited by available soil water. It fills fluxes.
-func (s *State) EvapotranspirationKernel(dt float64, f *Forcing, out *Fluxes) {
-	for i := range s.Cells {
-		ts := s.SurfaceTemp(i)
-		if ts < TMelt-5 { // frozen: negligible
-			out.Evapotranspiration[i] = 0
-			out.LatentHeat[i] = 0
-			continue
-		}
-		// Demand: radiative proxy (Priestley-Taylor-like).
-		sw := f.SWDown[i] * (1 - s.Albedo(i))
-		demand := math.Max(0, 0.8*sw/LvLand) // kg/m²/s
-		// Vegetation control: more LAI → closer to demand; moisture stress.
+	// Evapotranspiration: bare-soil evaporation plus transpiration scaled
+	// by LAI and moisture stress, limited by the top two levels' water.
+	sw := f.SWDown[i] * (1 - s.Albedo(i))
+	if temp[0] < TMelt-5 { // frozen: negligible
+		fl.Evapotranspiration[i] = 0
+		fl.LatentHeat[i] = 0
+	} else {
+		demand := math.Max(0, 0.8*sw/LvLand) // kg/m²/s, Priestley-Taylor-like
 		var lai float64
-		for p := 0; p < NumPFT; p++ {
-			lai += s.LAI[i*NumPFT+p]
+		for _, l := range s.LAI[i*NumPFT : (i+1)*NumPFT] {
+			lai += l
 		}
-		moist := s.SoilMoist[i*NSoil] // top-layer control
-		stress := math.Min(1, moist/0.4)
+		stress := math.Min(1, moist[0]/0.4)
 		et := demand * (0.25 + 0.75*(1-math.Exp(-0.5*lai))) * stress
-		// Limit by available top-two-layer water.
 		var avail float64
 		for k := 0; k < 2; k++ {
-			capK := SatCapacity * s.Soil.Thickness[k] / s.Soil.TotalDepth()
-			avail += s.SoilMoist[i*NSoil+k] * capK
+			avail += moist[k] * t.capK[k]
 		}
 		et = math.Min(et, 0.5*avail/dt)
-		// Extract.
 		rem := et * dt
 		for k := 0; k < 2 && rem > 0; k++ {
-			capK := SatCapacity * s.Soil.Thickness[k] / s.Soil.TotalDepth()
-			have := s.SoilMoist[i*NSoil+k] * capK
+			have := moist[k] * t.capK[k]
 			take := math.Min(rem, have)
-			s.SoilMoist[i*NSoil+k] -= take / capK
+			moist[k] -= take / t.capK[k]
 			rem -= take
 		}
 		et -= rem / dt
-		out.Evapotranspiration[i] = et
-		out.LatentHeat[i] = et * LvLand
+		fl.Evapotranspiration[i] = et
+		fl.LatentHeat[i] = et * LvLand
 	}
-}
 
-// solveTri5 is the Thomas algorithm on fixed-size 5-level arrays.
-func solveTri5(a, b, c, d *[NSoil]float64) {
-	for i := 1; i < NSoil; i++ {
-		m := a[i] / b[i-1]
-		b[i] -= m * c[i-1]
-		d[i] -= m * d[i-1]
+	// Soil temperature: implicit 5-level heat diffusion with the surface
+	// energy balance (shortwave, longwave, sensible heat, latent cooling)
+	// as the top source.
+	lw := Emissivity * StefanBoltz * (pow4(f.TAir[i]) - pow4(temp[0]))
+	net := sw + lw + f.SensibleHeat[i] - fl.LatentHeat[i]
+	d := *temp
+	d[0] += net * dt / t.heat0
+	for k := 1; k < NSoil; k++ {
+		d[k] -= t.mul[k] * d[k-1]
 	}
-	d[NSoil-1] /= b[NSoil-1]
-	for i := NSoil - 2; i >= 0; i-- {
-		d[i] = (d[i] - c[i]*d[i+1]) / b[i]
+	d[NSoil-1] /= t.piv[NSoil-1]
+	for k := NSoil - 2; k >= 0; k-- {
+		d[k] = (d[k] - t.c[k]*d[k+1]) / t.piv[k]
 	}
+	*temp = d
+
+	// Soil moisture: exchange between levels (conserving water through
+	// the capacities) and slow gravitational drainage to runoff.
+	const diff = 2e-7 // moisture exchange rate between layers, 1/s·(layer pair)
+	const drain = 3e-8
+	for k := 0; k < NSoil-1; k++ {
+		dw := diff * dt * (moist[k] - moist[k+1])
+		moist[k] -= dw
+		moist[k+1] += dw * t.capK[k] / t.capK[k+1]
+	}
+	dr := drain * dt * moist[NSoil-1]
+	moist[NSoil-1] -= dr
+	s.Runoff[i] += dr * t.capK[NSoil-1]
 }

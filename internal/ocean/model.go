@@ -21,13 +21,49 @@ type Model struct {
 	CGAllreduces int64
 
 	steps int
+
+	// The step's launches, bound once by NewModel in launch order; the
+	// step's arguments and the solver's error pass through the fields
+	// below, so a steady-state Step allocates nothing.
+	kernels []exec.Kernel
+	dt      float64
+	f       *Forcing
+	err     error
 }
 
 // NewModel assembles the ocean on the wet cells of mask with timestep dt.
 func NewModel(g *grid.Grid, mask *grid.Mask, vert *vertical.Ocean, dt float64, dev *exec.Device) *Model {
 	s := NewState(g, mask, vert)
 	s.InitAnalytic()
-	return &Model{State: s, Dyn: NewDynamics(s, dt), Dev: dev}
+	m := &Model{State: s, Dyn: NewDynamics(s, dt), Dev: dev}
+	cb, eb := m.cellBytes(), m.edgeBytes()
+	m.kernels = []exec.Kernel{
+		{Name: "ocean:pressure", Bytes: 3 * cb,
+			Reads: []string{"temp", "salt"}, Writes: []string{"pbar"},
+			Run: func() { m.Dyn.baroclinicPressure() }},
+		{Name: "ocean:momentum", Bytes: 2*eb + cb,
+			Reads: []string{"u", "pbar", "forcing"}, Writes: []string{"u"},
+			Run: func() { m.Dyn.momentum(m.dt, m.f) }},
+		{Name: "ocean:barotropic", Bytes: 2 * float64(s.NOcean()*8) * 20, // ~iterations × small 2-D sweeps
+			Reads: []string{"eta", "ub", "u"}, Writes: []string{"eta", "ub"},
+			Run: func() {
+				m.err = m.Dyn.barotropic(m.dt, m.f)
+				m.CGAllreduces += int64(2*m.Dyn.LastSolve.Iterations + 2)
+			}},
+		{Name: "ocean:advect", Bytes: 4*eb + 6*cb,
+			Reads: []string{"u", "ub", "temp", "salt"}, Writes: []string{"temp", "salt", "massflux"},
+			Run: func() { m.Dyn.advectTS(m.dt) }},
+		{Name: "ocean:mixing", Bytes: 4 * cb,
+			Reads: []string{"temp", "salt", "forcing"}, Writes: []string{"temp", "salt"},
+			Run: func() {
+				m.Dyn.verticalMixing(m.dt, m.f)
+				m.Dyn.convectiveAdjust()
+			}},
+		{Name: "ocean:seaice", Bytes: 4 * float64(s.NOcean()*8),
+			Reads: []string{"temp", "ice"}, Writes: []string{"temp", "ice"},
+			Run: func() { m.Dyn.SeaIceStep(m.dt, m.f) }},
+	}
+	return m
 }
 
 func (m *Model) cellBytes() float64 {
@@ -40,47 +76,13 @@ func (m *Model) edgeBytes() float64 {
 
 // Step advances the ocean by dt with forcing f, launching device kernels.
 func (m *Model) Step(dt float64, f *Forcing) error {
-	cb, eb := m.cellBytes(), m.edgeBytes()
-	d := m.Dyn
-	var err error
-	m.Dev.Launch(exec.Kernel{
-		Name: "ocean:pressure", Bytes: 3 * cb,
-		Reads: []string{"temp", "salt"}, Writes: []string{"pbar"},
-		Run: func() { d.baroclinicPressure() },
-	})
-	m.Dev.Launch(exec.Kernel{
-		Name: "ocean:momentum", Bytes: 2*eb + cb,
-		Reads: []string{"u", "pbar", "forcing"}, Writes: []string{"u"},
-		Run: func() { d.momentum(dt, f) },
-	})
-	m.Dev.Launch(exec.Kernel{
-		Name: "ocean:barotropic", Bytes: 2 * float64(m.State.NOcean()*8) * 20, // ~iterations × small 2-D sweeps
-		Reads: []string{"eta", "ub", "u"}, Writes: []string{"eta", "ub"},
-		Run: func() {
-			err = d.barotropic(dt, f)
-			m.CGAllreduces += int64(2*d.LastSolve.Iterations + 2)
-		},
-	})
-	m.Dev.Launch(exec.Kernel{
-		Name: "ocean:advect", Bytes: 4*eb + 6*cb,
-		Reads: []string{"u", "ub", "temp", "salt"}, Writes: []string{"temp", "salt", "massflux"},
-		Run: func() { d.advectTS(dt) },
-	})
-	m.Dev.Launch(exec.Kernel{
-		Name: "ocean:mixing", Bytes: 4 * cb,
-		Reads: []string{"temp", "salt", "forcing"}, Writes: []string{"temp", "salt"},
-		Run: func() {
-			d.verticalMixing(dt, f)
-			d.convectiveAdjust()
-		},
-	})
-	m.Dev.Launch(exec.Kernel{
-		Name: "ocean:seaice", Bytes: 4 * float64(m.State.NOcean()*8),
-		Reads: []string{"temp", "ice"}, Writes: []string{"temp", "ice"},
-		Run: func() { d.SeaIceStep(dt, f) },
-	})
+	m.dt, m.f, m.err = dt, f, nil
+	for _, k := range m.kernels {
+		m.Dev.Launch(k)
+	}
+	m.f = nil
 	m.steps++
-	return err
+	return m.err
 }
 
 // Steps returns the completed step count.

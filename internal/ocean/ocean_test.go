@@ -12,6 +12,7 @@ import (
 	"icoearth/internal/grid"
 	"icoearth/internal/par"
 	"icoearth/internal/par/socket"
+	"icoearth/internal/sched"
 	"icoearth/internal/vertical"
 )
 
@@ -404,6 +405,34 @@ func TestDistSolveSteadyStateAllocs(t *testing.T) {
 				t.Errorf("deadline %v: DistBarotropic.Solve allocates %v times per solve over both ranks, want 0", deadline, n)
 			}
 		})
+	}
+}
+
+// TestModelStepSteadyStateAllocs: a warmed-up Model.Step allocates
+// nothing — its six launches are bound once by NewModel and the serial
+// solve, transport and mixing reuse their scratch — on one worker or
+// several.
+func TestModelStepSteadyStateAllocs(t *testing.T) {
+	defer sched.SetWorkers(0)
+	g := grid.New(grid.R2B(2))
+	mask := grid.NewMask(g)
+	for _, workers := range []int{1, 4} {
+		sched.SetWorkers(workers)
+		dev := exec.NewDevice(exec.DeviceSpec{Name: "cpu", MemBW: 4e11, HalfSatBytes: 1e6, PowerIdle: 50, PowerMax: 250})
+		m := NewModel(g, mask, vertical.NewOcean(8, 4000, 60), 600, dev)
+		f := NewForcing(m.State.NOcean())
+		for i := range f.WindStress {
+			f.WindStress[i] = 0.1 * math.Sin(float64(i)*0.01)
+		}
+		step := func() {
+			if err := m.Step(600, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step()
+		if n := testing.AllocsPerRun(5, step); n != 0 {
+			t.Errorf("workers=%d: Model.Step allocates %v times per step, want 0", workers, n)
+		}
 	}
 }
 

@@ -38,7 +38,7 @@ go vet ./...
 # every //icovet:ignore must name its analyzer and justify itself, and
 # the total may not grow past the count below without a conscious,
 # reviewed bump here and in ci.yml.
-go run ./cmd/icovet -ignore-budget 3 ./...
+go run ./cmd/icovet -ignore-budget 2 ./...
 go test -short ./...
 # The nested benchmark module (benchmark/go.mod; `./...` above stops at
 # its boundary): same vet and icovet, no ignores, and its tests hold
@@ -53,10 +53,11 @@ go test -C benchmark ./...
 # (the long-haul integration batteries are too slow under the race
 # runtime); the concurrency-critical packages then rerun un-short so
 # their full suites — pool stress, halo exchange, supervised recovery —
-# execute under the detector, and the atmosphere, ocean and BGC so their
-# vertex, edge and cell sweeps are shown to write disjoint columns.
+# execute under the detector, and the atmosphere, ocean, BGC and land so
+# their vertex, edge, cell and column sweeps are shown to write disjoint
+# columns.
 go test -race -short ./...
-go test -race ./internal/sched/... ./internal/par/... ./internal/par/socket/... ./internal/exec/... ./internal/coupler/... ./internal/fault/... ./internal/restart/... ./internal/atmos/... ./internal/ocean/... ./internal/bgc/...
+go test -race ./internal/sched/... ./internal/par/... ./internal/par/socket/... ./internal/exec/... ./internal/coupler/... ./internal/fault/... ./internal/restart/... ./internal/atmos/... ./internal/ocean/... ./internal/bgc/... ./internal/land/...
 go test ./...
 # Fuzz the two parsers of on-disk checkpoint bytes, the decoder of socket
 # frames and the -chaos/-crash-at spec grammars, 10 s each (tier-1 ran
@@ -98,6 +99,12 @@ SUMS_DIR="$(mktemp -d)"
 go run ./cmd/esmrun -hours 0.5 -overlap=true -sums "$SUMS_DIR/on.txt" > /dev/null
 go run ./cmd/esmrun -hours 0.5 -overlap=false -sums "$SUMS_DIR/off.txt" > /dev/null
 cmp "$SUMS_DIR/on.txt" "$SUMS_DIR/off.txt"
+# Land pair: the 64 land records launched one by one (-no-graphs) against
+# the captured graph's replay — the fused pass rides on the first record
+# either way (CI runs this pair too).
+go run ./cmd/esmrun -hours 1 -sums "$SUMS_DIR/land-graph.txt" > /dev/null
+go run ./cmd/esmrun -hours 1 -no-graphs -sums "$SUMS_DIR/land-eager.txt" > /dev/null
+cmp "$SUMS_DIR/land-graph.txt" "$SUMS_DIR/land-eager.txt"
 # Atmosphere-heavy pair: the runs above have 10 atmosphere levels; 20 (the
 # benchmark's atm_bound shape) put the physics and column sweeps, block
 # boundaries included, under the workers {1,4} check where they dominate
